@@ -94,6 +94,24 @@ def _abs_sorted(f: OperatorFamily, k: int) -> np.ndarray:
     return np.sort(np.abs(f.eigen(k).eigenvalues))
 
 
+def gap_midpoints(edges: np.ndarray, floor: float | None = None,
+                  cap: float | None = None):
+    """Midpoints of the gaps between consecutive sorted edges.
+
+    Each gap (a, b) is first clipped to (max(a, floor), min(b, cap)); gaps
+    the clipping empties are dropped. Returns (mids, clearance) for the
+    rest, in edge order, where clearance = min(mid - a, b - mid) is the
+    distance to the unclipped edges.
+    """
+    a, b = edges[:-1], edges[1:]
+    lo = a if floor is None else np.maximum(a, floor)
+    hi = b if cap is None else np.minimum(b, cap)
+    keep = hi > lo
+    a, b = a[keep], b[keep]
+    mids = 0.5 * (lo[keep] + hi[keep])
+    return mids, np.minimum(mids - a, b - mids)
+
+
 def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
                        eps_cap: float | None = None) -> list:
     """Admissible radii for the range, best first.
@@ -111,14 +129,8 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
     """
     per_sample = [_abs_sorted(f, k) for k in range(start, end + 1)]
     pooled = np.unique(np.concatenate(per_sample))
-    edges = np.concatenate(([0.0], pooled))
-    lo, hi = edges[:-1], edges[1:]
-    if eps_cap is not None:
-        hi = np.minimum(hi, eps_cap)
-    valid = hi > lo
-    mids = np.where(valid, 0.5 * (lo + hi), 0.0)
-    clear = np.where(valid, np.minimum(mids - lo, edges[1:] - mids), 0.0)
-    keep = valid & (clear >= gap_tol) & (mids > 0)
+    mids, clear = gap_midpoints(np.concatenate(([0.0], pooled)), cap=eps_cap)
+    keep = (clear >= gap_tol) & (mids > 0)
     mids, clear = mids[keep], clear[keep]
     if mids.size == 0:
         return []
@@ -130,14 +142,23 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
     return out
 
 
-def _band_continuity_ok(f: OperatorFamily, start: int, end: int, eps: float) -> bool:
-    prev = window_subspace(f, start, -eps, eps)
+def _window_steps(f: OperatorFamily, start: int, end: int, lo: float, hi: float):
+    """Yield (k, distance) between the (lo, hi) windows at samples k - 1 and k.
+
+    Lazy, so a caller that stops at the first large step computes no more.
+    """
+    prev = window_subspace(f, start, lo, hi)
     for k in range(start + 1, end + 1):
-        cur = window_subspace(f, k, -eps, eps)
-        if subspace_distance(prev, cur) > BAND_CONTINUITY_TOL:
-            return False
+        cur = window_subspace(f, k, lo, hi)
+        yield k, subspace_distance(prev, cur)
         prev = cur
-    return True
+
+
+def _band_break(f: OperatorFamily, start: int, end: int, eps: float):
+    """First (k, distance) on [start, end] where the (-eps, eps) band moves
+    by more than BAND_CONTINUITY_TOL, or None."""
+    return next(((k, d) for k, d in _window_steps(f, start, end, -eps, eps)
+                 if d > BAND_CONTINUITY_TOL), None)
 
 
 def is_adapted(f: OperatorFamily, chart: AdaptedChart, gap_tol: float = DEFAULT_GAP_TOL):
@@ -165,16 +186,13 @@ def is_adapted(f: OperatorFamily, chart: AdaptedChart, gap_tol: float = DEFAULT_
         return False, (
             f"band rank jumps from {ranks[0]} to {ranks[k]} at sample {chart.start + k}"
         )
-    prev = window_subspace(f, chart.start, -eps, eps)
-    for k in range(chart.start + 1, chart.end + 1):
-        cur = window_subspace(f, k, -eps, eps)
-        d = subspace_distance(prev, cur)
-        if d > BAND_CONTINUITY_TOL:
-            return False, (
-                f"band moves by {d:.3f} between samples {k - 1} and {k} "
-                f"(limit {BAND_CONTINUITY_TOL})"
-            )
-        prev = cur
+    jump = _band_break(f, chart.start, chart.end, eps)
+    if jump is not None:
+        k, d = jump
+        return False, (
+            f"band moves by {d:.3f} between samples {k - 1} and {k} "
+            f"(limit {BAND_CONTINUITY_TOL})"
+        )
     return True, "adapted"
 
 
@@ -197,7 +215,7 @@ def _grow_chart(f: OperatorFamily, start: int, max_chart_len: int, gap_tol: floa
         )
     for end in range(feasible_end, start - 1, -1):
         for eps, _clear, _rank in _radius_candidates(f, start, end, gap_tol, eps_cap):
-            if _band_continuity_ok(f, start, end, eps):
+            if _band_break(f, start, end, eps) is None:
                 return end, float(eps)
     raise AtlasBuildError(
         f"band continuity fails for every admissible radius starting "
@@ -334,13 +352,7 @@ def cover_category(atlas: Atlas, max_dim: int = 3) -> CoverCategoryData:
 
 
 def _upper_subspace_steps(f: OperatorFamily, chart: AdaptedChart, eps: float):
-    steps = []
-    prev = window_subspace(f, chart.start, eps, np.inf)
-    for k in range(chart.start + 1, chart.end + 1):
-        cur = window_subspace(f, k, eps, np.inf)
-        steps.append(subspace_distance(prev, cur))
-        prev = cur
-    return steps
+    return [d for _, d in _window_steps(f, chart.start, chart.end, eps, np.inf)]
 
 
 def strictly_adapted_check(f: OperatorFamily, chart: AdaptedChart,
@@ -368,7 +380,7 @@ def strictly_adapted_check(f: OperatorFamily, chart: AdaptedChart,
     admissible = [
         (eps, clear, rank)
         for eps, clear, rank in _radius_candidates(f, chart.start, chart.end, gap_tol)
-        if _band_continuity_ok(f, chart.start, chart.end, eps)
+        if _band_break(f, chart.start, chart.end, eps) is None
     ]
     if admissible:
         for eps in (min(c[0] for c in admissible), max(c[0] for c in admissible)):

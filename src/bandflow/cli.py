@@ -24,7 +24,7 @@ from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, c
 from .errors import BandflowError, SpecError
 from .families import GENERATORS, OperatorFamily, ParameterGrid, generate
 from .flow import index_chain, spectral_flow_routes
-from .linalg import Subspace
+from .linalg import Subspace, subspace_distance
 from .polarize import finite_polarized_replace, flow_preservation_check
 from .sections import (
     WeakSpectralSection,
@@ -113,9 +113,11 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path: Path, obj) -> str:
+    """Write obj as JSON under the serialization rules; returns the text."""
     text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
     path.write_text(text)
+    return text
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -159,13 +161,16 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
     if not isinstance(obj, dict):
         raise SpecError(f"{where}: expected an object")
     dim = _require(obj, "dim", where)
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise SpecError(f"{where}.dim: expected a positive integer, got {dim!r}")
     grid = _parse_grid(_require(obj, "grid", where), where + ".grid")
     mats = _require(obj, "matrices", where)
     if not isinstance(mats, dict) or "real" not in mats:
         raise SpecError(f"{where}.matrices: expected an object with a 'real' array")
     try:
         real = np.asarray(mats["real"], dtype=float)
-        imag = np.asarray(mats.get("imag", np.zeros_like(real)), dtype=float)
+        imag = mats.get("imag")
+        imag = np.zeros_like(real) if imag is None else np.asarray(imag, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}.matrices: {exc}") from exc
     if real.shape != imag.shape:
@@ -177,9 +182,15 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
     ops = tuple(real[k] + 1j * imag[k] for k in range(real.shape[0]))
     bands = spec.get("polarized_bands")
     if bands is not None:
-        bands = tuple(int(b) for b in bands)
+        try:
+            m_minus, m_plus = (int(b) for b in bands)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"spec.polarized_bands: expected a pair [m_minus, m_plus], got {bands!r}"
+            ) from exc
+        bands = (m_minus, m_plus)
     try:
-        return OperatorFamily(grid=grid, dim=int(dim), operators=ops,
+        return OperatorFamily(grid=grid, dim=dim, operators=ops,
                               hermitian=bool(spec.get("hermitian", True)),
                               polarized_bands=bands)
     except BandflowError as exc:
@@ -188,9 +199,12 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
 
 def _parse_generator(spec: dict, seed: int | None) -> OperatorFamily:
     name = spec["generator"]
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
     if not isinstance(name, str):
         raise SpecError("spec.generator: expected a string")
+    if not isinstance(params, dict):
+        raise SpecError(f"spec.params: expected an object, got {params!r}")
+    params = dict(params)
     if name not in GENERATORS:
         raise SpecError(
             f"spec.generator: unknown generator {name!r}; available: {sorted(GENERATORS)}"
@@ -255,15 +269,30 @@ def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
     return WeakSpectralSection(subspaces=tuple(subs), reference_cut=float(cut))
 
 
-def _digest(raw: bytes, options: dict) -> str:
-    h = hashlib.sha256()
-    h.update(raw)
-    h.update(json.dumps(_jsonable(options), sort_keys=True).encode("utf-8"))
-    return h.hexdigest()
-
-
 def _options_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
+
+
+def _write_report(out: Path, command: str, raw: bytes, opts: dict, checks: list,
+                  outputs: dict) -> int:
+    """Write <command>_report.json into out and the same text to stdout.
+
+    inputs_digest hashes the raw spec bytes followed by the canonical JSON of
+    opts. Returns the exit code the checks call for.
+    """
+    digest = hashlib.sha256(raw)
+    digest.update(json.dumps(_jsonable(opts), sort_keys=True).encode("utf-8"))
+    report = {
+        "command": command,
+        "inputs_digest": digest.hexdigest(),
+        "invariant_checks": checks,
+        "options": opts,
+        "outputs": outputs,
+        "version": __version__,
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    sys.stdout.write(_write_json(out / f"{command}_report.json", report))
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -281,47 +310,38 @@ def cmd_flow(args) -> int:
         {"name": "atlas_valid", "passed": check_atlas(f, atlas, args.eps_gap_tol)[0]},
         {"name": "routes_agree", "passed": bool(routes["agree"])},
     ]
-    report = {
-        "command": "flow",
-        "inputs_digest": _digest(raw, opts),
-        "invariant_checks": checks,
-        "options": opts,
-        "outputs": {
-            "atlas": _atlas_json(atlas),
-            "charts": [
-                {
-                    "end": c.end,
-                    "eps": float(c.eps),
-                    "n_below_left": c.n_below_left,
-                    "n_below_right": c.n_below_right,
-                    "start": c.start,
-                }
-                for c in chain.charts
-            ],
-            "cover_category": {
-                "morphism_count": cat.morphism_count,
-                "nerve_counts": list(cat.nerve_counts),
-                "object_count": cat.object_count,
-            },
-            "flow_chartwise": routes["chartwise"],
-            "flow_endpoints": routes["endpoints"],
-            "flow_oracle": routes["oracle"],
-            "overlaps": [
-                {
-                    "eps_big": float(o.eps_big),
-                    "eps_small": float(o.eps_small),
-                    "sample": o.sample,
-                    "u_minus_dim": o.u_minus.dim,
-                    "u_plus_dim": o.u_plus.dim,
-                }
-                for o in chain.overlaps
-            ],
-        },
-        "version": __version__,
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "flow_report.json", report)
+    code = _write_report(out, "flow", raw, opts, checks, {
+        "atlas": _atlas_json(atlas),
+        "charts": [
+            {
+                "end": c.end,
+                "eps": float(c.eps),
+                "n_below_left": c.n_below_left,
+                "n_below_right": c.n_below_right,
+                "start": c.start,
+            }
+            for c in chain.charts
+        ],
+        "cover_category": {
+            "morphism_count": cat.morphism_count,
+            "nerve_counts": list(cat.nerve_counts),
+            "object_count": cat.object_count,
+        },
+        "flow_chartwise": routes["chartwise"],
+        "flow_endpoints": routes["endpoints"],
+        "flow_oracle": routes["oracle"],
+        "overlaps": [
+            {
+                "eps_big": float(o.eps_big),
+                "eps_small": float(o.eps_small),
+                "sample": o.sample,
+                "u_minus_dim": o.u_minus.dim,
+                "u_plus_dim": o.u_plus.dim,
+            }
+            for o in chain.overlaps
+        ],
+    })
     if args.emit_branches:
         rows = []
         for x in range(f.n_samples):
@@ -329,10 +349,7 @@ def cmd_flow(args) -> int:
             rows.append([x, float(f.grid.samples[x])] + [float(v) for v in lam])
         header = ["sample", "t"] + [f"lam_{j}" for j in range(f.dim)]
         _write_csv(out / "branches.csv", header, rows)
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-    if not all(c["passed"] for c in checks):
-        return EXIT_ERROR
-    return EXIT_OK
+    return code
 
 
 def cmd_suspend(args) -> int:
@@ -341,24 +358,13 @@ def cmd_suspend(args) -> int:
     sf = suspend(f, t_count=args.t_samples)
     atlas = build_atlas(f, max_chart_len=args.max_chart_len, gap_tol=args.eps_gap_tol)
     eps_ref = min(c.eps for c in atlas.charts)
-    rows = []
-    worst = 0.0
-    band_all_ok = True
-    for k, t in enumerate(sf.t_samples):
-        res = max(
-            suspension_spectrum_check(f.operators[x], float(t))
-            for x in range(f.n_samples)
-        )
-        worst = max(worst, res)
-        band_ok = ""
-        if 0 < k < sf.n_angles - 1:
-            ok = all(
-                band_correspondence_check(f.operators[x], eps_ref, float(t))
-                for x in range(0, f.n_samples, max(1, f.n_samples // 8))
-            )
-            band_all_ok = band_all_ok and ok
-            band_ok = str(ok)
-        rows.append([k, float(t), res, band_ok])
+    t = sf.t_samples
+    residual = np.max([suspension_spectrum_check(A, t) for A in f.operators], axis=0)
+    band_ok = np.all([band_correspondence_check(f.operators[x], eps_ref, t[1:-1])
+                      for x in range(0, f.n_samples, max(1, f.n_samples // 8))], axis=0)
+    worst = float(residual.max())
+    band_cells = [""] + [str(bool(ok)) for ok in band_ok] + [""]
+    rows = [[k, float(t[k]), float(residual[k]), band_cells[k]] for k in range(sf.n_angles)]
     idx = suspension_index(sf)
     routes = spectral_flow_routes(f, atlas=atlas, refine=args.grid_refine,
                                   gap_tol=args.eps_gap_tol)
@@ -366,31 +372,21 @@ def cmd_suspend(args) -> int:
     checks = [
         {"name": "spectrum_identity_max_residual", "passed": worst <= 1e-8,
          "value": worst},
-        {"name": "band_correspondence", "passed": band_all_ok},
+        {"name": "band_correspondence", "passed": bool(band_ok.all())},
         {"name": "index_equals_flow", "passed": equal},
         {"name": "routes_agree", "passed": bool(routes["agree"])},
     ]
-    report = {
-        "command": "suspend",
-        "inputs_digest": _digest(raw, opts),
-        "invariant_checks": checks,
-        "options": opts,
-        "outputs": {
-            "base_flow": routes["chartwise"],
-            "det_winding": idx.det_winding,
-            "equator_kernel_samples": list(idx.kernel_samples),
-            "n_angles": sf.n_angles,
-            "suspension_index": idx.index,
-        },
-        "version": __version__,
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "suspend_report.json", report)
+    code = _write_report(out, "suspend", raw, opts, checks, {
+        "base_flow": routes["chartwise"],
+        "det_winding": idx.det_winding,
+        "equator_kernel_samples": list(idx.kernel_samples),
+        "n_angles": sf.n_angles,
+        "suspension_index": idx.index,
+    })
     _write_csv(out / "suspension_residuals.csv",
                ["t_index", "t", "spectrum_residual", "band_ok"], rows)
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR
+    return code
 
 
 def cmd_section(args) -> int:
@@ -399,56 +395,36 @@ def cmd_section(args) -> int:
     opts["auto"] = bool(args.auto)
     opts["section_file"] = str(args.section_file) if args.section_file else None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.auto and f.grid.closure != "open_path":
         data = section_existence(f, gap_tol=args.eps_gap_tol,
                                  max_chart_len=args.max_chart_len)
         if not data.exists:
-            report = {
-                "command": "section",
-                "inputs_digest": _digest(raw, opts),
-                "invariant_checks": [
-                    {"name": "section_exists", "passed": False,
-                     "value": data.obstruction},
-                ],
-                "options": opts,
-                "outputs": {
-                    "exists": False,
-                    "flow": data.flow,
-                    "obstruction": data.obstruction,
-                },
-                "version": __version__,
-            }
-            _write_json(out / "section_report.json", report)
-            sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+            _write_report(out, "section", raw, opts, [
+                {"name": "section_exists", "passed": False, "value": data.obstruction},
+            ], {
+                "exists": False,
+                "flow": data.flow,
+                "obstruction": data.obstruction,
+            })
             return EXIT_OBSTRUCTION
         ok, srep = is_spectral_section(f, data.sections, data.radius)
-        report = {
-            "command": "section",
-            "inputs_digest": _digest(raw, opts),
-            "invariant_checks": [
-                {"name": "section_exists", "passed": True},
-                {"name": "sandwich", "passed": bool(ok), "value": srep},
-            ],
-            "options": opts,
-            "outputs": {
-                "exists": True,
-                "flow": data.flow,
-                "note": data.note,
-                "obstruction": 0,
-                "radius": [float(r) for r in data.radius],
-                "section_dims": [V.dim for V in data.sections],
-            },
-            "version": __version__,
-        }
-        _write_json(out / "section_report.json", report)
+        code = _write_report(out, "section", raw, opts, [
+            {"name": "section_exists", "passed": True},
+            {"name": "sandwich", "passed": bool(ok), "value": srep},
+        ], {
+            "exists": True,
+            "flow": data.flow,
+            "note": data.note,
+            "obstruction": 0,
+            "radius": [float(r) for r in data.radius],
+            "section_dims": [V.dim for V in data.sections],
+        })
         if args.emit_frames:
             frames = {"reference_cut": None,
                       "subspaces": [_frame_json(V) for V in data.sections]}
             _write_json(out / "section_frames.json", frames)
-        sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-        return EXIT_OK if ok else EXIT_ERROR
+        return code
 
     # Deformation path: section from file, or the tautological one above a
     # level picked from the widest spectral gap.
@@ -465,8 +441,6 @@ def cmd_section(args) -> int:
     result = deform_to_spectral_section(f, weak, gap_tol=args.eps_gap_tol,
                                         max_chart_len=args.max_chart_len)
     ok, srep = is_spectral_section(f, result.sections, result.radius)
-    from .linalg import subspace_distance
-
     moved = max(
         subspace_distance(a, b) for a, b in zip(weak.subspaces, result.sections)
     )
@@ -478,24 +452,16 @@ def cmd_section(args) -> int:
          "passed": all(a.dim == b.dim for a, b in
                        zip(weak.subspaces, result.sections))},
     ]
-    report = {
-        "command": "section",
-        "inputs_digest": _digest(raw, opts),
-        "invariant_checks": checks,
-        "options": opts,
-        "outputs": {
-            "max_deformation_distance": moved,
-            "mu": [float(v) for v in result.mu],
-            "mu_perp": [float(v) for v in result.mu_perp],
-            "nu": list(result.nu),
-            "nu_perp": list(result.nu_perp),
-            "radius": [float(v) for v in result.radius],
-            "reference_cut": weak.reference_cut,
-            "section_dims": [V.dim for V in result.sections],
-        },
-        "version": __version__,
-    }
-    _write_json(out / "section_report.json", report)
+    code = _write_report(out, "section", raw, opts, checks, {
+        "max_deformation_distance": moved,
+        "mu": [float(v) for v in result.mu],
+        "mu_perp": [float(v) for v in result.mu_perp],
+        "nu": list(result.nu),
+        "nu_perp": list(result.nu_perp),
+        "radius": [float(v) for v in result.radius],
+        "reference_cut": weak.reference_cut,
+        "section_dims": [V.dim for V in result.sections],
+    })
     if args.emit_frames:
         frames = {
             "homotopy": [
@@ -509,8 +475,7 @@ def cmd_section(args) -> int:
             "reference_cut": weak.reference_cut,
         }
         _write_json(out / "section_frames.json", frames)
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR
+    return code
 
 
 def cmd_polarize(args) -> int:
@@ -528,28 +493,18 @@ def cmd_polarize(args) -> int:
         {"name": "band_identity", "passed": True, "value": rep.band_report},
         {"name": "flow_preserved", "passed": bool(preserved), "value": flow_rep},
     ]
-    report = {
-        "command": "polarize",
-        "inputs_digest": _digest(raw, opts),
-        "invariant_checks": checks,
-        "options": opts,
-        "outputs": {
-            "atlas": _atlas_json(rep.atlas),
-            "max_change_after_normalize": unchanged,
-            "polarized_bands": list(rep.family.polarized_bands),
-            "radius": [float(v) for v in rep.radius],
-            "scale": float(rep.scale),
-        },
-        "version": __version__,
-    }
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "polarize_report.json", report)
+    code = _write_report(out, "polarize", raw, opts, checks, {
+        "atlas": _atlas_json(rep.atlas),
+        "max_change_after_normalize": unchanged,
+        "polarized_bands": list(rep.family.polarized_bands),
+        "radius": [float(v) for v in rep.radius],
+        "scale": float(rep.scale),
+    })
     _write_json(out / "replacement_family.json", _family_json(rep.family))
     _write_csv(out / "squash_radius.csv", ["sample", "r"],
                [[x, float(rep.radius[x])] for x in range(rep.radius.size)])
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -178,17 +178,17 @@ def _pick_transition_sample(f: OperatorFamily, lo: int, hi: int,
     )
 
 
-def _net_up_crossings(f: OperatorFamily, lo: int, hi: int) -> int:
-    """Signed zero crossings of the sorted branches between samples lo and hi."""
-    total = 0
-    prev = f.eigen(lo).eigenvalues
-    for k in range(lo + 1, hi + 1):
-        cur = f.eigen(k).eigenvalues
-        ups = int(np.sum((prev <= 0.0) & (cur > 0.0)))
-        downs = int(np.sum((prev > 0.0) & (cur <= 0.0)))
-        total += ups - downs
-        prev = cur
-    return total
+def net_up_crossings(table: np.ndarray) -> int:
+    """Net number of sorted eigenvalue branches moving up through zero.
+
+    Rows of table are consecutive samples, columns the ascending branches.
+    A branch sitting exactly at zero counts as not yet crossed; it
+    contributes when it leaves zero.
+    """
+    prev, cur = table[:-1], table[1:]
+    ups = np.sum((prev <= 0.0) & (cur > 0.0))
+    downs = np.sum((prev > 0.0) & (cur <= 0.0))
+    return int(ups - downs)
 
 
 def index_chain(f: OperatorFamily, atlas: Atlas,
@@ -223,6 +223,7 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
         lo, hi = charts[j + 1].start, charts[j].end
         overlap_samples.append(_pick_transition_sample(f, lo, hi, zero_tol))
 
+    lam = np.array([f.eigen(k).eigenvalues for k in range(f.n_samples)])
     chart_data = []
     for j, chart in enumerate(charts):
         left = 0 if j == 0 else overlap_samples[j - 1]
@@ -231,7 +232,7 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
                       for k in chart.sample_indices())
         n_left = _n_below(f, left, chart.eps)
         n_right = _n_below(f, right, chart.eps)
-        crossings = _net_up_crossings(f, left, right)
+        crossings = net_up_crossings(lam[left:right + 1])
         if n_left - n_right != crossings:
             raise ModelViolationError(
                 f"chart {j}: below-zero count drops by {n_left - n_right} "
@@ -274,27 +275,18 @@ def spectral_flow_chartwise(chain: IndexChain) -> int:
     return sum(c.n_below_left - c.n_below_right for c in chain.charts)
 
 
-def _refined_eigenvalue_table(f: OperatorFamily, refine: int):
+def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
     """Sorted eigenvalues on the grid refined by linear operator interpolation."""
     if refine < 1:
         raise ValidationError("refine factor must be a positive integer")
-    t = f.grid.samples
     rows = [f.eigen(0).eigenvalues]
-    ts = [t[0]]
     for k in range(1, f.n_samples):
         A0, A1 = f.operators[k - 1], f.operators[k]
         for j in range(1, refine):
             s = j / refine
             rows.append(np.linalg.eigvalsh((1.0 - s) * A0 + s * A1))
-            ts.append((1.0 - s) * t[k - 1] + s * t[k])
         rows.append(f.eigen(k).eigenvalues)
-        ts.append(t[k])
-    return np.array(ts), np.vstack(rows)
-
-
-def branch_table(f: OperatorFamily, refine: int = 1):
-    """(parameters, eigenvalue matrix) with one sorted branch per column."""
-    return _refined_eigenvalue_table(f, refine)
+    return np.vstack(rows)
 
 
 def spectral_flow_oracle(f: OperatorFamily, refine: int = 2) -> int:
@@ -305,21 +297,16 @@ def spectral_flow_oracle(f: OperatorFamily, refine: int = 2) -> int:
     refined samples cannot be given a direction and raises
     BranchResolutionError.
     """
-    _, table = _refined_eigenvalue_table(f, refine)
+    table = _refined_eigenvalue_table(f, refine)
     pinned = np.abs(table) <= 1e-12
-    for i in range(table.shape[1]):
-        runs = pinned[:-1, i] & pinned[1:, i]
-        if np.any(runs):
-            k = int(np.flatnonzero(runs)[0])
-            raise BranchResolutionError(
-                f"branch {i} sits at 0 across consecutive samples near row {k}; "
-                f"refine the grid or perturb the family"
-            )
-    prev = table[:-1]
-    cur = table[1:]
-    ups = np.sum((prev <= 0.0) & (cur > 0.0))
-    downs = np.sum((prev > 0.0) & (cur <= 0.0))
-    return int(ups - downs)
+    runs = np.argwhere((pinned[:-1] & pinned[1:]).T)
+    if runs.size:
+        i, k = runs[0]
+        raise BranchResolutionError(
+            f"branch {i} sits at 0 across consecutive samples near row {k}; "
+            f"refine the grid or perturb the family"
+        )
+    return net_up_crossings(table)
 
 
 def spectral_flow_endpoints(f: OperatorFamily, zero_tol: float = ZERO_TOL) -> int:
@@ -381,9 +368,7 @@ def fredholm_pair(B, eps: float) -> FredholmPairData:
 
     eps must clear every singular value by BOUNDARY_TOL_FACTOR times the
     largest one. The polar factor restricted to the orthogonal complement
-    of E1 is returned as a partial isometry onto the complement of E2, and
-    the index dim E1 - dim E2 is cross-checked against the kernel dimension
-    difference of B and B*.
+    of E1 is returned as a partial isometry onto the complement of E2.
     """
     if eps < 0:
         raise ValidationError(f"band radius must be nonnegative, got {eps}")
@@ -405,14 +390,8 @@ def fredholm_pair(B, eps: float) -> FredholmPairData:
         initial_space=Subspace(n, V[:, tail]),
         final_space=Subspace(n, W[:, tail]),
     )
-    rank_cut = RANK_TOL_FACTOR * smax
-    ker_b = int(np.sum(sigma <= rank_cut))
-    ker_bstar = ker_b
-    numeric_index = e1.dim - e2.dim
-    if numeric_index != ker_b - ker_bstar:
-        raise ModelViolationError("band pair index disagrees with kernel counts")
     return FredholmPairData(e1=e1, e2=e2, tail_isometry=tail_isometry,
-                            numeric_index=numeric_index)
+                            numeric_index=e1.dim - e2.dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas
+from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas, gap_midpoints
 from .errors import (
     AtlasBuildError,
     InjectivityError,
@@ -239,10 +239,9 @@ def default_level_grid(f: OperatorFamily, count: int = 4) -> list:
     )
     if pooled.size == 1:
         return [float(pooled[0] - 1.0), float(pooled[0] + 1.0)]
-    widths = np.diff(pooled)
-    order = np.argsort(-widths)[:count]
-    mids = sorted(0.5 * (pooled[k] + pooled[k + 1]) for k in order)
-    return [float(m) for m in mids]
+    mids, _ = gap_midpoints(pooled)
+    order = np.argsort(-np.diff(pooled))[:count]
+    return sorted(float(m) for m in mids[order])
 
 
 def discrete_spectrum_check(f: OperatorFamily, levels: Sequence[float],
@@ -326,30 +325,16 @@ def is_spectral_section(f: OperatorFamily, sections, radius):
 
 def _levels_below(pooled: np.ndarray, cap: float, gap_tol: float) -> list:
     """Control levels under cap: midpoints of (capped) spectral gaps, best first."""
-    out = []
-    for a, b in zip(pooled[:-1], pooled[1:]):
-        hi = min(b, cap)
-        if hi <= a:
-            continue
-        m = 0.5 * (a + hi)
-        if min(m - a, b - m) >= gap_tol:
-            out.append(float(m))
-    out.sort(reverse=True)
+    mids, clear = gap_midpoints(pooled, cap=cap)
+    out = sorted((float(m) for m in mids[clear >= gap_tol]), reverse=True)
     out.append(float(min(cap, pooled[0] - 1.0)))
     return out
 
 
 def _levels_above(pooled: np.ndarray, cap: float, gap_tol: float) -> list:
     """Control levels over cap, mirrored: lowest usable midpoint first."""
-    out = []
-    for a, b in zip(pooled[:-1], pooled[1:]):
-        lo = max(a, cap)
-        if b <= lo:
-            continue
-        m = 0.5 * (lo + b)
-        if min(m - a, b - m) >= gap_tol:
-            out.append(float(m))
-    out.sort()
+    mids, clear = gap_midpoints(pooled, floor=cap)
+    out = sorted(float(m) for m in mids[clear >= gap_tol])
     out.append(float(max(cap, pooled[-1] + 1.0)))
     return out
 
@@ -373,21 +358,11 @@ def _aligned_radius(abs_vals: np.ndarray, r0: float, clearance: float) -> float:
     """Smallest radius at least r0 keeping a safe distance from |spectrum|."""
     r0 = max(r0, clearance)
     vals = np.asarray(abs_vals, dtype=float)
-    if vals.size == 0:
+    if vals.size == 0 or float(np.abs(vals - r0).min()) >= clearance:
         return r0
-    if float(np.abs(vals - r0).min()) >= clearance:
-        return r0
-    cands = []
-    prev = 0.0
-    for v in vals:
-        lo = max(prev, r0)
-        if v > lo:
-            m = 0.5 * (lo + v)
-            if min(m - prev, v - m) >= clearance:
-                cands.append(m)
-        prev = v
-    cands.append(max(r0, float(vals[-1]) + 1.0))
-    return float(min(cands))
+    mids, clear = gap_midpoints(np.concatenate(([0.0], vals)), floor=r0)
+    mids = mids[clear >= clearance]
+    return float(mids[0]) if mids.size else float(max(r0, float(vals[-1]) + 1.0))
 
 
 def _chart_pooled(f: OperatorFamily, chart) -> np.ndarray:
@@ -408,12 +383,9 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     radius = np.zeros(n)
     for x in range(n):
         abs_vals = np.unique(np.abs(f.eigen(x).eigenvalues))
-        edges = np.concatenate([[0.0], abs_vals])
+        mids, clear = gap_midpoints(np.concatenate([[0.0], abs_vals]))
         found = None
-        for a, b in zip(edges[:-1], edges[1:]):
-            m = 0.5 * (a + b)
-            if min(m - a, b - m) < gap_tol or m <= 0.0:
-                continue
+        for m in mids[(clear >= gap_tol) & (mids > 0.0)]:
             upper = window_subspace(f, x, m, np.inf)
             lower = window_subspace(f, x, -m, np.inf)
             if (inclusion_residual(upper, subs[x]) <= SECTION_RESIDUAL_TOL

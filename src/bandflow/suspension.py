@@ -6,28 +6,28 @@ equator t = pi/2, exactly over the parameters where A itself is singular.
 Counting those equatorial kernels with the direction of the crossing branch
 reproduces the spectral flow of the base family by a completely different
 route than the chartwise bookkeeping.
+
+B(t) is normal with the eigenbasis of A and eigenvalues cos t + i sin t lam,
+so no operator grid is stored: SuspensionFamily.operator builds B(t) on
+demand. Equatorial kernel samples come from the closed-form smallest
+singular value sqrt(cos^2 t + min lam^2 sin^2 t), and the index is the
+signed zero-crossing count of the base's sorted branches, since the equator
+slice -i B(pi/2) is A itself. suspension_spectrum_check still forms
+|B(t)|^2 explicitly at every angle it is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ModelViolationError, ValidationError
 from .families import OperatorFamily
-from .flow import enhanced_check
-from .linalg import (
-    Subspace,
-    absolute_value,
-    hermitian_eig,
-    spectral_projection,
-    subspace_distance,
-)
+from .flow import enhanced_check, net_up_crossings
+from .linalg import absolute_value, hermitian_eig, spectral_projection, subspace_distance
 
-ENDPOINT_TOL = 1e-12
-NORMALITY_TOL = 1e-10
 SPECTRUM_IDENTITY_TOL = 1e-9
 BAND_MATCH_TOL = 1e-8
 KERNEL_TOL = 1e-8
@@ -40,16 +40,18 @@ def _suspension_operator(A: np.ndarray, t: float) -> np.ndarray:
     return np.cos(t) * np.eye(n, dtype=np.complex128) + 1j * np.sin(t) * A
 
 
+def _gram_spectrum(B: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the explicitly formed |B|^2 = B* B."""
+    gram = B.conj().T @ B
+    return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+
 @dataclass(frozen=True, eq=False)
 class SuspensionFamily:
-    """Grid of suspension operators, parameter-major.
-
-    operators[x][k] is the suspension of base operator x at angle t_samples[k].
-    """
+    """Suspension of a base family over an angle grid from 0 to pi."""
 
     base: OperatorFamily
     t_samples: np.ndarray
-    operators: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         t = np.asarray(self.t_samples, dtype=np.float64)
@@ -60,33 +62,14 @@ class SuspensionFamily:
         if np.any(np.diff(t) <= 0):
             raise ValidationError("suspension angles must strictly increase")
         object.__setattr__(self, "t_samples", t)
-        n = self.base.dim
-        eye = np.eye(n, dtype=np.complex128)
-        for x, row in enumerate(self.operators):
-            for k, B in enumerate(row):
-                if B.shape != (n, n):
-                    raise ValidationError(
-                        f"suspension operator ({x},{k}) has shape {B.shape}"
-                    )
-            d0 = float(np.abs(row[0] - eye).max())
-            d1 = float(np.abs(row[-1] + eye).max())
-            if d0 > ENDPOINT_TOL or d1 > ENDPOINT_TOL:
-                raise ValidationError(
-                    f"suspension at parameter {x} does not collapse to +-identity "
-                    f"at the ends (deviations {d0:.3e}, {d1:.3e})"
-                )
-            for k, B in enumerate(row):
-                comm = B @ B.conj().T - B.conj().T @ B
-                dev = float(np.abs(comm).max())
-                if dev > NORMALITY_TOL:
-                    raise ValidationError(
-                        f"suspension operator ({x},{k}) is not normal "
-                        f"(commutator deviation {dev:.3e})"
-                    )
+
+    def operator(self, x: int, k: int) -> np.ndarray:
+        """B(t_samples[k]) over base operator x, built on demand."""
+        return _suspension_operator(self.base.operators[x], float(self.t_samples[k]))
 
     @property
     def n_parameters(self) -> int:
-        return len(self.operators)
+        return self.base.n_samples
 
     @property
     def n_angles(self) -> int:
@@ -114,51 +97,54 @@ def suspend(f: OperatorFamily, t_count: int = 41) -> SuspensionFamily:
         raise ValidationError("suspension needs a self-adjoint base family")
     t = np.linspace(0.0, np.pi, t_count)
     t[(t_count - 1) // 2] = np.pi / 2
-    ops = tuple(
-        tuple(_suspension_operator(A, float(tk)) for tk in t) for A in f.operators
-    )
-    return SuspensionFamily(base=f, t_samples=t, operators=ops)
+    return SuspensionFamily(base=f, t_samples=t)
 
 
-def suspension_spectrum_check(A: np.ndarray, t: float) -> float:
+def suspension_spectrum_check(A: np.ndarray, t):
     """Verify |B(t)|^2 has spectrum {cos^2 t + lam^2 sin^2 t} over lam in spec(A).
 
-    Returns the max absolute deviation between the two sorted spectra and
-    raises if it exceeds the identity tolerance.
+    t may be one angle or an array of angles; A is solved once either way.
+    Returns the max absolute deviation between the two sorted spectra, a
+    float for a scalar angle and an array otherwise, and raises if it
+    exceeds the identity tolerance.
     """
-    dec = hermitian_eig(A)
-    B = _suspension_operator(np.asarray(A, dtype=np.complex128), t)
-    gram = B.conj().T @ B
-    gram = 0.5 * (gram + gram.conj().T)
-    left = np.sort(np.linalg.eigvalsh(gram))
-    right = np.sort(np.cos(t) ** 2 + dec.eigenvalues**2 * np.sin(t) ** 2)
-    dev = float(np.abs(left - right).max())
-    if dev > SPECTRUM_IDENTITY_TOL * max(1.0, float(right.max())):
-        raise ModelViolationError(
-            f"suspension spectrum identity violated at t={t}: deviation {dev:.3e}"
-        )
-    return dev
+    scalar = np.isscalar(t)
+    lam = hermitian_eig(A).eigenvalues
+    A = np.asarray(A, dtype=np.complex128)
+    devs = []
+    for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        left = np.sort(_gram_spectrum(_suspension_operator(A, tk)))
+        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2)
+        dev = float(np.abs(left - right).max())
+        if dev > SPECTRUM_IDENTITY_TOL * max(1.0, float(right.max())):
+            raise ModelViolationError(
+                f"suspension spectrum identity violated at t={tk}: deviation {dev:.3e}"
+            )
+        devs.append(dev)
+    return devs[0] if scalar else np.array(devs)
 
 
-def band_correspondence_check(A: np.ndarray, eps: float, t: float) -> bool:
+def band_correspondence_check(A: np.ndarray, eps: float, t):
     """Low band of |B(t)| below delta(t) matches the band of |A| below eps.
 
     delta(t) = sqrt(cos^2 t + eps^2 sin^2 t). Requires sin t away from 0 and
-    (A, eps) forming an enhanced pair.
+    (A, eps) forming an enhanced pair. t may be one angle or an array of
+    angles; A is solved once either way. Returns a bool for a scalar angle
+    and a bool array otherwise.
     """
-    if abs(np.sin(t)) < 1e-9:
+    scalar = np.isscalar(t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    if np.any(np.abs(np.sin(ts)) < 1e-9):
         raise ValidationError("band correspondence needs sin t bounded away from 0")
-    enhanced_check(np.asarray(A, dtype=np.complex128), eps)
-    delta = float(np.sqrt(np.cos(t) ** 2 + eps**2 * np.sin(t) ** 2))
-    B = _suspension_operator(np.asarray(A, dtype=np.complex128), t)
-    absB = absolute_value(B)
-    low_susp = spectral_projection(absB, -1.0, delta)
-    dec = hermitian_eig(np.asarray(A, dtype=np.complex128))
-    keep = np.abs(dec.eigenvalues) < eps
-    low_base = Subspace(A.shape[0], dec.frame[:, keep])
-    if low_susp.dim != low_base.dim:
-        return False
-    return subspace_distance(low_susp, low_base) <= BAND_MATCH_TOL
+    A = np.asarray(A, dtype=np.complex128)
+    low_base = enhanced_check(A, eps).band
+    oks = []
+    for tk in ts:
+        delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
+        low_susp = spectral_projection(absolute_value(_suspension_operator(A, tk)), -1.0, delta)
+        oks.append(low_susp.dim == low_base.dim
+                   and subspace_distance(low_susp, low_base) <= BAND_MATCH_TOL)
+    return oks[0] if scalar else np.array(oks)
 
 
 def zero_band_check(A: np.ndarray, delta: float, t: float) -> bool:
@@ -182,66 +168,37 @@ class SuspensionIndexData:
     winding_residual: Optional[float]
 
 
-def _signed_equator_count(eig_table: np.ndarray) -> int:
-    """Net number of sorted eigenvalue branches moving up through zero.
-
-    A branch that sits exactly at zero is counted once it actually leaves
-    for the other side, matching the convention of the branch oracle.
-    """
-    ups = 0
-    downs = 0
-    m, n = eig_table.shape
-    for j in range(n):
-        for k in range(m - 1):
-            a, b = eig_table[k, j], eig_table[k + 1, j]
-            if a <= 0.0 < b:
-                ups += 1
-            elif a > 0.0 >= b:
-                downs += 1
-    return ups - downs
-
-
 def suspension_index(sf: SuspensionFamily, kernel_tol: float = KERNEL_TOL) -> SuspensionIndexData:
     """Count equatorial kernels of the suspension with crossing signs.
 
-    Off-equator kernels contradict the model and raise. For exact-loop bases
-    the winding number of det B along a contour hugging the equator is
-    computed as an independent auxiliary report.
+    Kernels are read off the closed-form smallest singular value of B(t);
+    off-equator kernels contradict the model and raise. The signed count is
+    taken over the base's sorted eigenvalue branches, which are the
+    branches of the equator slice -i B(pi/2) = A. For exact-loop bases the
+    winding number of det B along a contour hugging the equator is computed
+    as an independent auxiliary report.
     """
     te = sf.equator_index()
-    n_par = sf.n_parameters
-    kernel_samples = []
-    for x in range(n_par):
-        for k, row_op in enumerate(sf.operators[x]):
-            smin = float(np.linalg.svd(row_op, compute_uv=False)[-1])
-            if smin <= kernel_tol:
-                if k != te:
-                    raise ModelViolationError(
-                        f"kernel detected off the equator at parameter {x}, "
-                        f"angle index {k} (smallest singular value {smin:.3e})"
-                    )
-                kernel_samples.append(x)
-    # Equator slice: -i B(pi/2) recovers a self-adjoint operator whose
-    # eigenvalue branches carry the crossing directions.
-    table = np.zeros((n_par, sf.base.dim))
-    for x in range(n_par):
-        H = -1j * sf.operators[x][te]
-        dev = float(np.abs(H - H.conj().T).max())
-        if dev > 1e-9:
-            raise ModelViolationError(
-                f"equator slice at parameter {x} is not self-adjoint "
-                f"(deviation {dev:.3e})"
-            )
-        table[x] = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-    index = _signed_equator_count(table)
-
+    f = sf.base
+    lam = np.array([f.eigen(x).eigenvalues for x in range(f.n_samples)])
+    t = sf.t_samples
+    smin = np.sqrt(np.cos(t) ** 2 + np.min(lam**2, axis=1)[:, None] * np.sin(t) ** 2)
+    kernel = smin <= kernel_tol
+    off = kernel.copy()
+    off[:, te] = False
+    if off.any():
+        x, k = np.argwhere(off)[0]
+        raise ModelViolationError(
+            f"kernel detected off the equator at parameter {x}, "
+            f"angle index {k} (smallest singular value {smin[x, k]:.3e})"
+        )
     det_winding = None
     winding_residual = None
-    if sf.base.grid.closure == "exact_loop":
+    if f.grid.closure == "exact_loop":
         det_winding, winding_residual = _det_winding(sf, te)
     return SuspensionIndexData(
-        index=index,
-        kernel_samples=tuple(kernel_samples),
+        index=net_up_crossings(lam),
+        kernel_samples=tuple(int(x) for x in np.flatnonzero(kernel[:, te])),
         det_winding=det_winding,
         winding_residual=winding_residual,
     )
@@ -256,13 +213,12 @@ def _det_winding(sf: SuspensionFamily, te: int):
     """
     lo, hi = te - 1, te + 1
     m = sf.n_parameters - 1
-    contour = []
-    contour.extend(sf.operators[x][lo] for x in range(0, m + 1))
-    contour.append(sf.operators[m][te])
-    contour.extend(sf.operators[x][hi] for x in range(m, -1, -1))
-    contour.append(sf.operators[0][te])
-    contour.append(sf.operators[0][lo])
-    dets = np.array([np.linalg.det(B) for B in contour])
+    contour = [(x, lo) for x in range(0, m + 1)]
+    contour.append((m, te))
+    contour.extend((x, hi) for x in range(m, -1, -1))
+    contour.append((0, te))
+    contour.append((0, lo))
+    dets = np.array([np.linalg.det(sf.operator(x, k)) for x, k in contour])
     if np.any(np.abs(dets) < 1e-12):
         return None, None
     angles = np.angle(dets[1:] / dets[:-1])
@@ -283,7 +239,6 @@ def spectrum_surface(sf: SuspensionFamily) -> np.ndarray:
     """
     out = np.zeros((sf.n_parameters, sf.n_angles, sf.base.dim))
     for x in range(sf.n_parameters):
-        for k, B in enumerate(sf.operators[x]):
-            gram = B.conj().T @ B
-            out[x, k] = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        for k in range(sf.n_angles):
+            out[x, k] = _gram_spectrum(sf.operator(x, k))
     return out

@@ -1,6 +1,8 @@
 """Command line pipelines: specs in, deterministic reports and tables out."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +108,36 @@ def test_flow_rejects_unknown_generator(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown generator" in err
     assert "crossing" in err
+
+
+def _sampled_spec(dim=2, **top):
+    t = [0.0, 0.5, 1.0]
+    real = [np.diag([s - 0.5, 1.0]).tolist() for s in t]
+    grid = {"kind": "interval_path", "samples": t, "closure": "open_path"}
+    return {"sampled": {"dim": dim, "grid": grid, "matrices": {"real": real}}, **top}
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"generator": "crossing", "params": [1]}, "spec.params"),
+    (_sampled_spec(polarized_bands=[1]), "spec.polarized_bands"),
+    (_sampled_spec(dim="2"), "spec.sampled.dim"),
+], ids=["params-not-object", "bands-not-pair", "dim-string"])
+def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec, field):
+    code, out = run(tmp_path, spec, ["flow"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {field}:")
+    assert not out.exists()
+
+
+def test_flow_runs_the_documented_sampled_example(tmp_path):
+    doc = (Path(__file__).parents[1] / "docs" / "format.md").read_text()
+    block = re.search(r"### Sampled form\n\n```json\n(.*?)```", doc, re.S).group(1)
+    spec = json.loads(block)
+    assert spec["sampled"]["matrices"]["imag"] is None
+    code, out = run(tmp_path, spec, ["flow"])
+    assert code == 0
+    assert read_report(out, "flow_report.json")["outputs"]["flow_chartwise"] == 1
 
 
 def test_flow_seed_forwarding(tmp_path):

@@ -42,28 +42,30 @@ def test_suspend_zero_operator_vanishes_on_equator():
     sf = suspend(constant_base([[0.0]]), t_count=5)
     te = sf.equator_index()
     assert te == 2
-    B = sf.operators[0][te]
+    B = sf.operator(0, te)
     assert np.abs(B).max() < 1e-15
 
 
 def test_suspend_unit_operator_stays_unitary():
     sf = suspend(constant_base([[1.0]]), t_count=9)
-    for B in sf.operators[0]:
+    for k in range(sf.n_angles):
+        B = sf.operator(0, k)
         assert abs(np.linalg.svd(B, compute_uv=False)[0] - 1.0) < 1e-12
 
 
 def test_suspend_endpoint_collapse():
     sf = suspend(generate("crossing", k=1, m=1, samples=5), t_count=5)
     eye = np.eye(2)
-    for row in sf.operators:
-        assert np.abs(row[0] - eye).max() <= 1e-12
-        assert np.abs(row[-1] + eye).max() <= 1e-12
+    for x in range(sf.n_parameters):
+        assert np.abs(sf.operator(x, 0) - eye).max() <= 1e-12
+        assert np.abs(sf.operator(x, sf.n_angles - 1) + eye).max() <= 1e-12
 
 
 def test_suspend_normality(rng):
     A = random_hermitian(rng, 5)
     sf = suspend(constant_base(A), t_count=11)
-    for B in sf.operators[0]:
+    for k in range(sf.n_angles):
+        B = sf.operator(0, k)
         comm = B @ B.conj().T - B.conj().T @ B
         assert np.abs(comm).max() <= 1e-10
 
@@ -84,33 +86,18 @@ def test_suspend_validation():
 
 def test_suspension_family_validation():
     base = constant_base([[1.0]])
-    eye = np.eye(1, dtype=np.complex128)
-    good_row = (eye, 1j * eye, -eye)
     angles = np.array([0.0, np.pi / 2, np.pi])
-    SuspensionFamily(base=base, t_samples=angles, operators=(good_row, good_row))
+    sf = SuspensionFamily(base=base, t_samples=angles)
+    assert sf.n_parameters == 2 and sf.n_angles == 3
+    assert np.abs(sf.operator(1, 1) - 1j).max() < 1e-15
     with pytest.raises(ValidationError, match="0 to pi"):
-        SuspensionFamily(base=base, t_samples=np.array([0.1, 1.0, np.pi]),
-                         operators=(good_row, good_row))
-    bad_end = (eye, 1j * eye, eye)
-    with pytest.raises(ValidationError, match="collapse"):
-        SuspensionFamily(base=base, t_samples=angles, operators=(bad_end, good_row))
-    base2 = constant_base(np.eye(2))
-    eye2 = np.eye(2, dtype=np.complex128)
-    shear = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValidationError, match="not normal"):
-        SuspensionFamily(base=base2, t_samples=angles,
-                         operators=(((eye2, shear, -eye2),) * 2))
+        SuspensionFamily(base=base, t_samples=np.array([0.1, 1.0, np.pi]))
 
 
 def test_equator_index_requires_equator_sample():
     base = constant_base([[1.0]])
     angles = np.array([0.0, 1.0, 2.0, np.pi])
-
-    def op(t):
-        return np.cos(t) * np.eye(1) + 1j * np.sin(t) * np.eye(1)
-
-    row = tuple(op(t) for t in angles)
-    sf = SuspensionFamily(base=base, t_samples=angles, operators=(row, row))
+    sf = SuspensionFamily(base=base, t_samples=angles)
     with pytest.raises(ValidationError, match="equator"):
         sf.equator_index()
 
@@ -133,8 +120,12 @@ def test_spectrum_identity_at_zero_angle(rng):
 
 def test_spectrum_identity_random_sweep(rng):
     A = random_hermitian(rng, 6)
-    for t in np.linspace(0.0, np.pi, 50):
-        assert suspension_spectrum_check(A, float(t)) <= 1e-9
+    angles = np.linspace(0.0, np.pi, 50)
+    devs = suspension_spectrum_check(A, angles)
+    assert devs.shape == (50,)
+    assert devs.max() <= 1e-9
+    # the array form gives exactly the per-angle deviations
+    assert np.array_equal(devs, [suspension_spectrum_check(A, float(t)) for t in angles])
 
 
 def test_spectrum_surface_formula():
@@ -174,13 +165,17 @@ def test_band_correspondence_equator():
 def test_band_correspondence_interior_angles(rng):
     Q, _ = np.linalg.qr(random_hermitian(rng, 4) + 5j * np.eye(4))
     A = Q @ np.diag([-1.7, -0.3, 0.4, 2.2]) @ Q.conj().T
-    for t in np.linspace(0.05 * np.pi, 0.95 * np.pi, 20):
-        assert band_correspondence_check(A, eps=1.0, t=float(t))
+    angles = np.linspace(0.05 * np.pi, 0.95 * np.pi, 20)
+    for t in angles:
+        assert band_correspondence_check(A, eps=1.0, t=float(t)) is True
+    assert band_correspondence_check(A, eps=1.0, t=angles).tolist() == [True] * 20
 
 
 def test_band_correspondence_needs_interior_angle():
     with pytest.raises(ValidationError, match="sin t"):
         band_correspondence_check(np.diag([0.5]), eps=1.0, t=0.0)
+    with pytest.raises(ValidationError, match="sin t"):
+        band_correspondence_check(np.diag([0.5]), eps=1.0, t=np.array([1.0, np.pi]))
 
 
 def test_zero_band_below_cosine():
@@ -300,25 +295,10 @@ def test_shifted_sine_loop_winding():
 
 
 def test_suspension_index_rejects_off_equator_kernel():
-    base = constant_base([[1.0]])
-    angles = np.array([0.0, 0.8, np.pi / 2, 2.5, np.pi])
-
-    def op(t):
-        return np.cos(t) * np.eye(1) + 1j * np.sin(t) * np.eye(1)
-
-    row = list(op(t) for t in angles)
-    row[1] = np.zeros((1, 1), dtype=np.complex128)
-    sf = SuspensionFamily(base=base, t_samples=angles,
-                          operators=(tuple(row), tuple(row)))
-    with pytest.raises(ModelViolationError, match="off the equator"):
-        suspension_index(sf)
-
-
-def test_suspension_index_rejects_crooked_equator_slice():
-    base = constant_base(np.eye(2))
-    angles = np.array([0.0, np.pi / 2, np.pi])
-    eye2 = np.eye(2, dtype=np.complex128)
-    row = (eye2, eye2, -eye2)  # middle operator is not i times Hermitian
-    sf = SuspensionFamily(base=base, t_samples=angles, operators=(row, row))
-    with pytest.raises(ModelViolationError, match="self-adjoint"):
+    # over a zero base the smallest singular value at angle t is |cos t|,
+    # which falls under the kernel tolerance just below the equator
+    base = constant_base([[0.0]])
+    angles = np.array([0.0, np.pi / 2 - 1e-9, np.pi / 2, np.pi])
+    sf = SuspensionFamily(base=base, t_samples=angles)
+    with pytest.raises(ModelViolationError, match=r"off the equator.*angle index 1"):
         suspension_index(sf)
