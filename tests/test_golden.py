@@ -78,6 +78,12 @@ JOBS = (
      ["polarize"], {}),
     ("polarize_fails", {"generator": "random_smooth", "params": {"dim": 5, "seed": 3}},
      ["polarize"], {}),
+    ("flow_branches_dense",
+     {"generator": "random_smooth", "params": {"dim": 8, "samples": 80, "seed": 1}},
+     ["flow", "--emit-branches"], {}),
+    ("polarize_dense",
+     {"generator": "random_smooth", "params": {"dim": 8, "samples": 80, "seed": 1}},
+     ["polarize"], {}),
 )
 
 
