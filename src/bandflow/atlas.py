@@ -19,8 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import AtlasBuildError, ModelViolationError, ValidationError
-from .families import ContinuityReport, OperatorFamily, window_subspace
-from .linalg import subspace_distance
+from .families import ContinuityReport, OperatorFamily, window_steps
 
 # Minimum clearance required between +-eps and every eigenvalue on a chart.
 DEFAULT_GAP_TOL = 1e-6
@@ -90,10 +89,6 @@ def _round_sig(x: float) -> float:
     return float(f"{x:.{_SIG_DIGITS}g}")
 
 
-def _abs_sorted(f: OperatorFamily, k: int) -> np.ndarray:
-    return np.sort(np.abs(f.eigen(k).eigenvalues))
-
-
 def gap_midpoints(edges: np.ndarray, floor: float | None = None,
                   cap: float | None = None):
     """Midpoints of the gaps between consecutive sorted edges.
@@ -127,14 +122,21 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
 
     Returns a list of (eps, clearance, rank) triples.
     """
-    per_sample = [_abs_sorted(f, k) for k in range(start, end + 1)]
-    pooled = np.unique(np.concatenate(per_sample))
+    per_sample = f.abs_eigenvalues[start:end + 1]
+    pooled = np.unique(per_sample)
     mids, clear = gap_midpoints(np.concatenate(([0.0], pooled)), cap=eps_cap)
     keep = (clear >= gap_tol) & (mids > 0)
     mids, clear = mids[keep], clear[keep]
     if mids.size == 0:
         return []
-    counts = np.stack([np.searchsorted(lam, mids) for lam in per_sample])
+    # counts[k, i] is the number of |eigenvalues| at sample start + k below
+    # mids[i]: mids are strictly increasing, so that is the number of values
+    # v with searchsorted(mids, v, "right") <= i, a cumulative histogram.
+    rows, n_mids = per_sample.shape[0], mids.size
+    slot = np.searchsorted(mids, per_sample, side="right")
+    slot += np.arange(rows)[:, None] * (n_mids + 1)
+    hist = np.bincount(slot.ravel(), minlength=rows * (n_mids + 1))
+    counts = np.cumsum(hist.reshape(rows, n_mids + 1), axis=1)[:, :n_mids]
     constant = np.all(counts == counts[0], axis=0)
     out = [(float(m), float(h), int(r))
            for m, h, r, ok in zip(mids, clear, counts[0], constant) if ok]
@@ -142,22 +144,10 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
     return out
 
 
-def _window_steps(f: OperatorFamily, start: int, end: int, lo: float, hi: float):
-    """Yield (k, distance) between the (lo, hi) windows at samples k - 1 and k.
-
-    Lazy, so a caller that stops at the first large step computes no more.
-    """
-    prev = window_subspace(f, start, lo, hi)
-    for k in range(start + 1, end + 1):
-        cur = window_subspace(f, k, lo, hi)
-        yield k, subspace_distance(prev, cur)
-        prev = cur
-
-
 def _band_break(f: OperatorFamily, start: int, end: int, eps: float):
     """First (k, distance) on [start, end] where the (-eps, eps) band moves
     by more than BAND_CONTINUITY_TOL, or None."""
-    return next(((k, d) for k, d in _window_steps(f, start, end, -eps, eps)
+    return next(((k, d) for k, d in window_steps(f, start, end, -eps, eps)
                  if d > BAND_CONTINUITY_TOL), None)
 
 
@@ -170,19 +160,19 @@ def is_adapted(f: OperatorFamily, chart: AdaptedChart, gap_tol: float = DEFAULT_
     if chart.end >= f.n_samples:
         raise ValidationError("chart range leaves the grid")
     eps = chart.eps
-    ranks = []
-    for k in chart.sample_indices():
-        lam = f.eigen(k).eigenvalues
-        dist = np.abs(np.abs(lam) - eps)
-        j = int(np.argmin(dist))
-        if dist[j] < gap_tol:
-            return False, (
-                f"sample {k}: eigenvalue {lam[j]:.12g} lies within "
-                f"{gap_tol:.1e} of the band edge +-{eps:.12g}"
-            )
-        ranks.append(int(np.sum(np.abs(lam) < eps)))
-    if len(set(ranks)) > 1:
-        k = next(i for i, r in enumerate(ranks) if r != ranks[0])
+    lam = f.eigenvalues[chart.start:chart.end + 1]
+    dist = np.abs(np.abs(lam) - eps)
+    nearest = np.argmin(dist, axis=1)
+    close = np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0] < gap_tol
+    if close.any():
+        i = int(np.argmax(close))
+        return False, (
+            f"sample {chart.start + i}: eigenvalue {lam[i, nearest[i]]:.12g} lies "
+            f"within {gap_tol:.1e} of the band edge +-{eps:.12g}"
+        )
+    ranks = np.sum(np.abs(lam) < eps, axis=1)
+    if np.any(ranks != ranks[0]):
+        k = int(np.argmax(ranks != ranks[0]))
         return False, (
             f"band rank jumps from {ranks[0]} to {ranks[k]} at sample {chart.start + k}"
         )
@@ -352,7 +342,7 @@ def cover_category(atlas: Atlas, max_dim: int = 3) -> CoverCategoryData:
 
 
 def _upper_subspace_steps(f: OperatorFamily, chart: AdaptedChart, eps: float):
-    return [d for _, d in _window_steps(f, chart.start, chart.end, eps, np.inf)]
+    return [d for _, d in window_steps(f, chart.start, chart.end, eps, np.inf)]
 
 
 def strictly_adapted_check(f: OperatorFamily, chart: AdaptedChart,
@@ -365,14 +355,12 @@ def strictly_adapted_check(f: OperatorFamily, chart: AdaptedChart,
     radii and a disagreement raises ModelViolationError.
     """
     steps = _upper_subspace_steps(f, chart, chart.eps)
-    eig_steps = []
-    for k in range(chart.start + 1, chart.end + 1):
-        eig_steps.append(float(np.abs(
-            f.eigen(k).eigenvalues - f.eigen(k - 1).eigenvalues).max()))
+    lam = f.eigenvalues[chart.start:chart.end + 1]
+    eig_steps = np.abs(np.diff(lam, axis=0)).max(axis=1)
     max_step = max(steps) if steps else 0.0
     worst = int(np.argmax(steps)) if steps and max_step > 0 else 0
     report = ContinuityReport(
-        max_eigenvalue_step=max(eig_steps) if eig_steps else 0.0,
+        max_eigenvalue_step=float(eig_steps.max(initial=0.0)),
         max_band_subspace_step=float(max_step),
         worst_step_index=worst,
     )

@@ -345,7 +345,7 @@ def cmd_flow(args) -> int:
     if args.emit_branches:
         rows = []
         for x in range(f.n_samples):
-            lam = f.eigen(x).eigenvalues
+            lam = f.eigenvalues[x]
             rows.append([x, float(f.grid.samples[x])] + [float(v) for v in lam])
         header = ["sample", "t"] + [f"lam_{j}" for j in range(f.dim)]
         _write_csv(out / "branches.csv", header, rows)

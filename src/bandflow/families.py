@@ -6,6 +6,12 @@ into a loop, or closes up only after shifting the eigenvalue numbering by a
 declared integer (the truncation-friendly way to model loops whose spectrum
 drifts by a whole level per cycle).
 
+The operators of a family live in one contiguous (N, n, n) stack. Its
+spectral data live in one plane, built on first use by a single batched
+eigensolve over the whole stack: the (N, n) eigenvalue table, the (N, n, n)
+eigenvector frames and the row-sorted table of absolute eigenvalues. Every
+per-sample eigendecomposition, and the band-continuity walk, reads from it.
+
 Built-in generators cover the standard test cases: an explicit crossing
 family with prescribed flow, a gapped rotation loop, the truncated shift
 flow, smooth random families, and a crossing family with eigenvalues frozen
@@ -21,13 +27,14 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
+    BOUNDARY_TOL_FACTOR,
     SpectralDecomposition,
     Subspace,
     as_hermitian,
     as_square_matrix,
-    hermitian_eig,
+    hermitian_eig_stack,
     spectral_projection,
-    subspace_distance,
+    stack_blocks,
 )
 
 # Entrywise agreement required of the two endpoint operators of an exact loop.
@@ -90,8 +97,11 @@ class OperatorFamily:
     (within 1e-9) and the whole spectrum inside [-1, 1]. scale records the
     divisor applied when a family was normalized into that range.
 
-    Eigendecompositions are computed lazily per sample and cached, so
-    repeated window queries at the same sample cost one eigensolve.
+    The validated operators are stored in one contiguous (N, n, n) stack;
+    the operators tuple holds views into it. The spectral plane (eigenvalue
+    table, frames, row-sorted absolute eigenvalues) is computed for the
+    whole stack at once, by one hermitian_eig_stack call, the first time any
+    spectral data is asked for; eigen(i) returns views into it.
     """
 
     grid: ParameterGrid
@@ -101,19 +111,24 @@ class OperatorFamily:
     polarized_bands: tuple | None = None
     scale: float | None = None
     _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _stack: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    _plane: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) != self.grid.n_samples:
             raise ValidationError(
                 f"{len(self.operators)} operators for {self.grid.n_samples} samples"
             )
-        mats = []
+        stack = None
         for k, op in enumerate(self.operators):
             M = as_hermitian(op) if self.hermitian else as_square_matrix(op)
             if M.shape[0] != self.dim:
                 raise ValidationError(f"operator {k} has dim {M.shape[0]}, declared {self.dim}")
-            mats.append(M)
-        object.__setattr__(self, "operators", tuple(mats))
+            if stack is None:
+                stack = np.empty((len(self.operators),) + M.shape, dtype=np.complex128)
+            stack[k] = M
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
         if self.polarized_bands is not None:
             self._check_polarized_bands()
         self._check_closure()
@@ -124,19 +139,21 @@ class OperatorFamily:
         m_minus, m_plus = self.polarized_bands
         if m_minus < 0 or m_plus < 0 or m_minus + m_plus > self.dim:
             raise ValidationError(f"bad frozen multiplicities {self.polarized_bands}")
-        for k, M in enumerate(self.operators):
-            lam = np.linalg.eigvalsh(M)
-            if lam.size and (lam[0] < -1.0 - 1e-9 or lam[-1] > 1.0 + 1e-9):
+        lam = np.linalg.eigvalsh(self._stack)
+        leaves = (lam[:, 0] < -1.0 - 1e-9) | (lam[:, -1] > 1.0 + 1e-9)
+        n_lo = np.sum(np.abs(lam + 1.0) <= 1e-9, axis=1)
+        n_hi = np.sum(np.abs(lam - 1.0) <= 1e-9, axis=1)
+        bad = leaves | (n_lo < m_minus) | (n_hi < m_plus)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if leaves[k]:
                 raise ValidationError(
                     f"sample {k}: spectrum leaves [-1, 1] despite declared frozen bands"
                 )
-            n_lo = int(np.sum(np.abs(lam + 1.0) <= 1e-9))
-            n_hi = int(np.sum(np.abs(lam - 1.0) <= 1e-9))
-            if n_lo < m_minus or n_hi < m_plus:
-                raise ValidationError(
-                    f"sample {k}: found {n_lo}/{n_hi} eigenvalues at -1/+1, "
-                    f"declared {m_minus}/{m_plus}"
-                )
+            raise ValidationError(
+                f"sample {k}: found {n_lo[k]}/{n_hi[k]} eigenvalues at -1/+1, "
+                f"declared {m_minus}/{m_plus}"
+            )
 
     def _check_closure(self):
         closure = self.grid.closure
@@ -150,8 +167,7 @@ class OperatorFamily:
             if not self.hermitian:
                 raise ValidationError("shifted_loop closure requires a Hermitian family")
             s = self.grid.shift
-            lam0 = np.linalg.eigvalsh(self.operators[0])
-            lam1 = np.linalg.eigvalsh(self.operators[-1])
+            lam0, lam1 = np.linalg.eigvalsh(self._stack[[0, -1]])
             n = lam0.size
             if abs(s) >= n:
                 raise ValidationError("shift magnitude must be smaller than the dimension")
@@ -169,16 +185,43 @@ class OperatorFamily:
     def n_samples(self) -> int:
         return self.grid.n_samples
 
-    def eigen(self, i: int) -> SpectralDecomposition:
-        """Cached eigendecomposition of the operator at sample i."""
+    @property
+    def operator_stack(self) -> np.ndarray:
+        """(N, n, n) array whose rows are the operators."""
+        return self._stack
+
+    def _spectral_plane(self) -> tuple:
         if not self.hermitian:
-            raise ValidationError("eigen() is only defined for Hermitian families")
+            raise ValidationError("spectral data is only defined for Hermitian families")
+        if self._plane is None:
+            lam, F = hermitian_eig_stack(self._stack)
+            object.__setattr__(self, "_plane", (lam, F, np.sort(np.abs(lam), axis=1)))
+        return self._plane
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """(N, n) table: row x holds the ascending eigenvalues at sample x."""
+        return self._spectral_plane()[0]
+
+    @property
+    def frames(self) -> np.ndarray:
+        """(N, n, n) eigenvector frames matching the eigenvalue table."""
+        return self._spectral_plane()[1]
+
+    @property
+    def abs_eigenvalues(self) -> np.ndarray:
+        """(N, n) table: row x holds the sorted |eigenvalues| at sample x."""
+        return self._spectral_plane()[2]
+
+    def eigen(self, i: int) -> SpectralDecomposition:
+        """Eigendecomposition at sample i, as views into the spectral plane."""
         if i not in self._eig_cache:
-            self._eig_cache[i] = hermitian_eig(self.operators[i])
+            lam, F, _ = self._spectral_plane()
+            self._eig_cache[i] = SpectralDecomposition(eigenvalues=lam[i], frame=F[i])
         return self._eig_cache[i]
 
     def spectral_radius(self) -> float:
-        return max(self.eigen(i).spectral_radius() for i in range(self.n_samples))
+        return float(self.abs_eigenvalues[:, -1].max())
 
 
 def window_subspace(f: OperatorFamily, sample_index: int, a: float, b: float) -> Subspace:
@@ -187,18 +230,47 @@ def window_subspace(f: OperatorFamily, sample_index: int, a: float, b: float) ->
     return spectral_projection(f.operators[sample_index], a, b, decomp=dec)
 
 
+def _window_edges_clear(f: OperatorFamily, start: int, end: int, a: float,
+                        b: float) -> np.ndarray:
+    """Per sample of [start, end]: do the finite ends of (a, b) clear every
+    eigenvalue by spectral_projection's boundary tolerance?"""
+    lam = f.eigenvalues[start:end + 1]
+    tol = BOUNDARY_TOL_FACTOR * f.abs_eigenvalues[start:end + 1, -1]
+    clear = np.ones(lam.shape[0], dtype=bool)
+    for edge in (a, b):
+        if np.isfinite(edge):
+            clear &= np.abs(lam - edge).min(axis=1) > tol
+    return clear
+
+
+def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
+    """Yield (k, distance) between the (a, b) windows at samples k - 1 and k.
+
+    The distance is the operator norm of the difference of the two window
+    projectors, as subspace_distance gives it up to roundoff. Projectors and
+    the eigenvalues of their consecutive differences are computed a block of
+    samples at a time. A window edge that sits on an eigenvalue raises
+    window_subspace's SpectralBoundaryError, but only once the walk reaches
+    that sample, so a caller that stops at the first large step raises
+    nothing beyond it.
+    """
+    clear = _window_edges_clear(f, start, end, a, b)
+    stop = start + int(np.argmin(clear)) if not clear.all() else end + 1
+    lam, F = f.eigenvalues, f.frames
+    for blk in stack_blocks(stop - start - 1, f.dim * f.dim):
+        rows = slice(start + blk.start, start + blk.stop + 1)
+        inside = (lam[rows] > a) & (lam[rows] < b)
+        P = np.where(inside[:, None, :], F[rows], 0.0) @ F[rows].conj().transpose(0, 2, 1)
+        d = np.abs(np.linalg.eigvalsh(P[:-1] - P[1:])).max(axis=1)
+        yield from zip(range(rows.start + 1, rows.stop), d.tolist())
+    if stop <= end:
+        window_subspace(f, stop, a, b)
+
+
 def continuity_check(f: OperatorFamily, a: float, b: float) -> ContinuityReport:
     """Largest per-step movement of the sorted spectrum and of the (a, b) band."""
-    eig_steps = np.zeros(f.n_samples - 1)
-    band_steps = np.zeros(f.n_samples - 1)
-    prev_lam = f.eigen(0).eigenvalues
-    prev_band = window_subspace(f, 0, a, b)
-    for i in range(1, f.n_samples):
-        lam = f.eigen(i).eigenvalues
-        band = window_subspace(f, i, a, b)
-        eig_steps[i - 1] = float(np.abs(lam - prev_lam).max())
-        band_steps[i - 1] = subspace_distance(prev_band, band)
-        prev_lam, prev_band = lam, band
+    eig_steps = np.abs(np.diff(f.eigenvalues, axis=0)).max(axis=1)
+    band_steps = np.array([d for _, d in window_steps(f, 0, f.n_samples - 1, a, b)])
     if band_steps.max() > 0:
         worst = int(np.argmax(band_steps))
     else:

@@ -42,6 +42,7 @@ from .linalg import (
     Subspace,
     as_hermitian,
     hermitian_eig,
+    stack_blocks,
     svd_matched,
 )
 
@@ -159,19 +160,19 @@ class IndexChain:
 
 
 def _n_below(f: OperatorFamily, sample: int, eps: float) -> int:
-    lam = f.eigen(sample).eigenvalues
+    lam = f.eigenvalues[sample]
     return int(np.sum((lam > -eps) & (lam < 0.0)))
 
 
 def _min_abs_eigenvalue(f: OperatorFamily, sample: int) -> float:
-    return float(np.abs(f.eigen(sample).eigenvalues).min())
+    return float(f.abs_eigenvalues[sample, 0])
 
 
 def _pick_transition_sample(f: OperatorFamily, lo: int, hi: int,
                             zero_tol: float) -> int:
-    for y in range(lo, hi + 1):
-        if _min_abs_eigenvalue(f, y) > zero_tol:
-            return y
+    clear = f.abs_eigenvalues[lo:hi + 1, 0] > zero_tol
+    if clear.any():
+        return lo + int(np.argmax(clear))
     raise BoundaryZeroError(
         f"every overlap sample in [{lo}, {hi}] has an eigenvalue within "
         f"{zero_tol:.1e} of 0; shift the chart edge by one sample or refine"
@@ -223,7 +224,7 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
         lo, hi = charts[j + 1].start, charts[j].end
         overlap_samples.append(_pick_transition_sample(f, lo, hi, zero_tol))
 
-    lam = np.array([f.eigen(k).eigenvalues for k in range(f.n_samples)])
+    lam = f.eigenvalues
     chart_data = []
     for j, chart in enumerate(charts):
         left = 0 if j == 0 else overlap_samples[j - 1]
@@ -276,17 +277,28 @@ def spectral_flow_chartwise(chain: IndexChain) -> int:
 
 
 def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
-    """Sorted eigenvalues on the grid refined by linear operator interpolation."""
+    """Sorted eigenvalues on the grid refined by linear operator interpolation.
+
+    Grid rows come from the family's eigenvalue table; the refine - 1
+    interpolants between each pair of neighbours are solved together, one
+    stacked eigvalsh per block of neighbour pairs.
+    """
     if refine < 1:
         raise ValidationError("refine factor must be a positive integer")
-    rows = [f.eigen(0).eigenvalues]
-    for k in range(1, f.n_samples):
-        A0, A1 = f.operators[k - 1], f.operators[k]
-        for j in range(1, refine):
-            s = j / refine
-            rows.append(np.linalg.eigvalsh((1.0 - s) * A0 + s * A1))
-        rows.append(f.eigen(k).eigenvalues)
-    return np.vstack(rows)
+    lam = f.eigenvalues
+    if refine == 1:
+        return lam
+    N, n = lam.shape
+    table = np.empty(((N - 1) * refine + 1, n))
+    table[::refine] = lam
+    between = table[:-1].reshape(N - 1, refine, n)[:, 1:]
+    s = (np.arange(1, refine) / refine)[:, None, None]
+    A = f.operator_stack
+    for blk in stack_blocks(N - 1, (refine - 1) * n * n):
+        A0 = A[blk][:, None]
+        A1 = A[blk.start + 1:blk.stop + 1][:, None]
+        between[blk] = np.linalg.eigvalsh((1.0 - s) * A0 + s * A1)
+    return table
 
 
 def spectral_flow_oracle(f: OperatorFamily, refine: int = 2) -> int:
@@ -317,8 +329,8 @@ def spectral_flow_endpoints(f: OperatorFamily, zero_tol: float = ZERO_TOL) -> in
                 f"{label} sample is not invertible within {zero_tol:.1e}; "
                 f"the endpoint signature count is undefined"
             )
-    n_start = int(np.sum(f.eigen(0).eigenvalues > 0))
-    n_end = int(np.sum(f.eigen(f.n_samples - 1).eigenvalues > 0))
+    n_start = int(np.sum(f.eigenvalues[0] > 0))
+    n_end = int(np.sum(f.eigenvalues[-1] > 0))
     return n_end - n_start
 
 

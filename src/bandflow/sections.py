@@ -103,9 +103,7 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
     if S.subspaces[0].ambient_dim != f.dim:
         raise ValidationError("section ambient dimension differs from the family")
     c = S.reference_cut
-    clear = min(
-        float(np.abs(f.eigen(x).eigenvalues - c).min()) for x in range(n)
-    )
+    clear = float(np.abs(f.eigenvalues - c).min())
     report = {"cut_clearance": clear, "reason": "weak section"}
     if clear < LEVEL_CLEAR_TOL:
         report["reason"] = (
@@ -127,7 +125,7 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
             f"section jumps by {max(steps):.3f} between samples {worst} and {worst + 1}"
         )
         return False, report
-    glob_min = min(float(f.eigen(x).eigenvalues.min()) for x in range(n))
+    glob_min = float(f.eigenvalues.min())
     c_floor = floor if floor is not None else glob_min - 1.0
     worst_overlap = 0.0
     for x in range(n):
@@ -234,9 +232,7 @@ def partition_of_unity(atlas: Atlas, n_samples: int, loop: bool = False) -> Part
 
 def default_level_grid(f: OperatorFamily, count: int = 4) -> list:
     """Midpoints of the widest gaps in the pooled sampled spectrum."""
-    pooled = np.unique(
-        np.concatenate([f.eigen(x).eigenvalues for x in range(f.n_samples)])
-    )
+    pooled = np.unique(f.eigenvalues)
     if pooled.size == 1:
         return [float(pooled[0] - 1.0), float(pooled[0] + 1.0)]
     mids, _ = gap_midpoints(pooled)
@@ -266,10 +262,7 @@ def discrete_spectrum_check(f: OperatorFamily, levels: Sequence[float],
         for k in range(NUDGE_BUDGET + 1):
             for sign in ((0,) if k == 0 else (1, -1)):
                 cand = lam + sign * k * step
-                clear = min(
-                    float(np.abs(f.eigen(x).eigenvalues - cand).min())
-                    for x in range(f.n_samples)
-                )
+                clear = float(np.abs(f.eigenvalues - cand).min())
                 if clear >= gap_tol:
                     shifted_level = cand
                     break
@@ -366,9 +359,7 @@ def _aligned_radius(abs_vals: np.ndarray, r0: float, clearance: float) -> float:
 
 
 def _chart_pooled(f: OperatorFamily, chart) -> np.ndarray:
-    return np.unique(
-        np.concatenate([f.eigen(k).eigenvalues for k in chart.sample_indices()])
-    )
+    return np.unique(f.eigenvalues[chart.start:chart.end + 1])
 
 
 def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
@@ -382,7 +373,7 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     n = f.n_samples
     radius = np.zeros(n)
     for x in range(n):
-        abs_vals = np.unique(np.abs(f.eigen(x).eigenvalues))
+        abs_vals = np.unique(f.abs_eigenvalues[x])
         mids, clear = gap_midpoints(np.concatenate([[0.0], abs_vals]))
         found = None
         for m in mids[(clear >= gap_tol) & (mids > 0.0)]:
@@ -574,7 +565,7 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
     radius = np.zeros(n)
     for x in range(n):
         r0 = max(abs(mu[x]), abs(mu_perp[x]))
-        abs_vals = np.unique(np.abs(f.eigen(x).eigenvalues))
+        abs_vals = np.unique(f.abs_eigenvalues[x])
         radius[x] = _aligned_radius(abs_vals, r0, gap_tol)
     ok, rep = is_spectral_section(f, final, radius)
     if not ok:
@@ -645,7 +636,7 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
         return ExistenceData(exists=False, flow=flow, obstruction=flow,
                              note="flow obstruction")
     n = f.n_samples
-    lam0 = f.eigen(0).eigenvalues
+    lam0 = f.eigenvalues[0]
     split = int(np.searchsorted(lam0, 0.0, side="left"))
     sections = []
     radius = np.zeros(n)
@@ -667,8 +658,8 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
         )
     deformed = None
     note = "witness from sorted branches"
-    upper_edge = min(float(f.eigen(x).eigenvalues[split]) for x in range(n)) if split < f.dim else None
-    lower_edge = max(float(f.eigen(x).eigenvalues[split - 1]) for x in range(n)) if split > 0 else None
+    upper_edge = float(f.eigenvalues[:, split].min()) if split < f.dim else None
+    lower_edge = float(f.eigenvalues[:, split - 1].max()) if split > 0 else None
     if upper_edge is not None and lower_edge is not None and upper_edge - lower_edge > 2 * gap_tol:
         cut = 0.5 * (upper_edge + lower_edge)
         try:

@@ -180,7 +180,7 @@ def suspension_index(sf: SuspensionFamily, kernel_tol: float = KERNEL_TOL) -> Su
     """
     te = sf.equator_index()
     f = sf.base
-    lam = np.array([f.eigen(x).eigenvalues for x in range(f.n_samples)])
+    lam = f.eigenvalues
     t = sf.t_samples
     smin = np.sqrt(np.cos(t) ** 2 + np.min(lam**2, axis=1)[:, None] * np.sin(t) ** 2)
     kernel = smin <= kernel_tol

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandflow import (
+    ModelViolationError,
     OperatorFamily,
     ParameterGrid,
+    SpectralBoundaryError,
     Subspace,
     ValidationError,
     continuity_check,
     generate,
+    hermitian_eig,
     subspace_distance,
     window_subspace,
 )
+from bandflow import linalg
+from bandflow.families import window_steps
 
 from conftest import random_hermitian
 
@@ -191,6 +196,8 @@ def test_polarized_crossing_declares_frozen_bands():
 def test_polarized_band_declaration_is_checked():
     t = np.linspace(0, 1, 3)
     grid = ParameterGrid(kind="interval_path", samples=t, closure="open_path")
+    grid4 = ParameterGrid(kind="interval_path", samples=np.linspace(0, 1, 4),
+                          closure="open_path")
     # spectrum escapes [-1, 1]
     ops = (np.diag([2.0]),) * 3
     with pytest.raises(ValidationError, match="leaves"):
@@ -199,6 +206,12 @@ def test_polarized_band_declaration_is_checked():
     ops = (np.diag([0.5]),) * 3
     with pytest.raises(ValidationError, match="declared"):
         OperatorFamily(grid=grid, dim=1, operators=ops, polarized_bands=(1, 0))
+    # the first offending sample is named, whichever rule it breaks
+    ops = tuple(np.diag([v]) for v in (0.5, 1.0, 2.0, 0.5))
+    with pytest.raises(ValidationError, match="sample 0: found 0/0"):
+        OperatorFamily(grid=grid4, dim=1, operators=ops, polarized_bands=(0, 1))
+    with pytest.raises(ValidationError, match="sample 2: spectrum leaves"):
+        OperatorFamily(grid=grid4, dim=1, operators=ops, polarized_bands=(0, 0))
     # multiplicities exceed the dimension
     ops = (np.diag([1.0]),) * 3
     with pytest.raises(ValidationError, match="multiplicities"):
@@ -296,3 +309,162 @@ def test_generate_unknown_name_lists_available():
 def test_generate_rejects_bad_parameters():
     with pytest.raises(ValidationError, match="bad parameters"):
         generate("crossing", bogus=3)
+
+
+# ---------------------------------------------------------------- spectral plane
+
+
+def _reference_eig(A):
+    """Per-matrix eigh with the column-by-column phase rule, as a reference."""
+    lam, F = np.linalg.eigh(A)
+    F = F.copy()
+    for k in range(F.shape[1]):
+        col = F[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-9)
+        if idx.size:
+            c = col[idx[0]]
+            F[:, k] = col * (np.conj(c) / np.abs(c))
+    return lam, F
+
+
+PLANE_FAMILIES = (
+    [generate("random_smooth", dim=d, seed=d, samples=30) for d in range(1, 9)]
+    + [generate("random_smooth", dim=4, seed=1, samples=2),
+       generate("constant", dim=5, samples=7),
+       generate("crossing", k=2, m=3, samples=21),
+       generate("polarized_crossing", k=-1, m_minus=2, m_plus=1, samples=21),
+       generate("rotation", m=2, samples=30)]
+)
+
+
+@pytest.mark.parametrize("f", PLANE_FAMILIES,
+                         ids=lambda f: f"dim{f.dim}x{f.n_samples}")
+@pytest.mark.parametrize("block_entries", [None, 40])
+def test_plane_equals_per_sample_eig(f, block_entries, monkeypatch):
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+    f = OperatorFamily(grid=f.grid, dim=f.dim, operators=f.operators,
+                       polarized_bands=f.polarized_bands)
+    for k, A in enumerate(f.operators):
+        lam, F = _reference_eig(A)
+        dec = hermitian_eig(A)
+        for got in (f.eigen(k), dec):
+            assert np.array_equal(got.eigenvalues, lam)
+            assert np.array_equal(got.frame, F)
+        assert np.array_equal(f.eigenvalues[k], lam)
+        assert np.array_equal(f.frames[k], F)
+        assert np.array_equal(f.abs_eigenvalues[k], np.sort(np.abs(lam)))
+    assert f.spectral_radius() == max(np.abs(f.eigenvalues[k]).max()
+                                      for k in range(f.n_samples))
+
+
+def test_plane_is_one_eigh_and_operators_are_views(monkeypatch):
+    f = generate("random_smooth", dim=3, seed=2, samples=25)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or real(A))
+    for k in range(f.n_samples):
+        f.eigen(k)
+    assert calls == [(25, 3, 3)]
+    assert f.eigen(4).eigenvalues.base is not None
+    assert all(np.shares_memory(A, f.operator_stack) for A in f.operators)
+
+
+def _corrupt_eigh(monkeypatch, sample, how):
+    real = np.linalg.eigh
+
+    def fake(A):
+        lam, F = real(A)
+        if how == "value":
+            lam[sample, 0] += 1e-3
+        elif how == "order":
+            lam[sample], F[sample] = lam[sample][::-1].copy(), F[sample][:, ::-1].copy()
+        else:
+            F[sample][:, 0] *= 2.0
+        return lam, F
+
+    monkeypatch.setattr(np.linalg, "eigh", fake)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("value", "sample 7: eigendecomposition residual"),
+    ("order", "sample 7: eigenvalues are not sorted ascending"),
+    ("frame", "sample 7: eigenvector frame is not orthonormal"),
+])
+@pytest.mark.parametrize("block_entries", [None, 50])
+def test_plane_names_first_bad_sample(monkeypatch, how, message, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+    f = generate("random_smooth", dim=4, seed=5, samples=20)
+    _corrupt_eigh(monkeypatch, 7, how)
+    with pytest.raises(ModelViolationError, match=message):
+        f.eigen(0)
+
+
+def _reference_steps(f, start, end, a, b):
+    """The per-step walk: window subspaces and subspace_distance, sample by sample."""
+    prev = window_subspace(f, start, a, b)
+    for k in range(start + 1, end + 1):
+        cur = window_subspace(f, k, a, b)
+        yield k, subspace_distance(prev, cur)
+        prev = cur
+
+
+def _walk(steps):
+    """Steps taken before the walk ends, and the error that ended it."""
+    taken = []
+    try:
+        for step in steps:
+            taken.append(step)
+    except SpectralBoundaryError as exc:
+        return taken, str(exc)
+    return taken, None
+
+
+@pytest.mark.parametrize("name, params, start, end, a, b", [
+    ("random_smooth", {"dim": 5, "seed": 4, "samples": 60}, 0, 59, -0.3, 0.3),
+    ("random_smooth", {"dim": 8, "seed": 1, "samples": 80}, 10, 45, 0.1, np.inf),
+    ("random_smooth", {"dim": 3, "seed": 7, "samples": 40}, 0, 39, -np.inf, -0.2),
+    ("rotation", {"m": 2, "samples": 50}, 0, 49, -1.5, 0.0),
+    ("crossing", {"k": 1, "m": 1}, 0, 100, -0.105, 0.105),
+    ("crossing", {"k": 2, "m": 2, "samples": 31}, 3, 3, -0.2, 0.2),
+])
+@pytest.mark.parametrize("block_entries", [None, 60])
+def test_window_steps_match_per_step_walk(monkeypatch, name, params, start, end,
+                                          a, b, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+    f = generate(name, **params)
+    ref, ref_err = _walk(_reference_steps(f, start, end, a, b))
+    got, err = _walk(window_steps(f, start, end, a, b))
+    assert ref_err is None and err is None
+    assert [k for k, _ in got] == [k for k, _ in ref] == list(range(start + 1, end + 1))
+    assert np.allclose([d for _, d in got], [d for _, d in ref], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("start, end, a, b", [
+    (0, 100, 0.0, np.inf),      # branch t - 0.5 is exactly 0 at sample 50
+    (30, 100, -0.2, 0.0),
+    (50, 60, 0.0, 1.0),         # the first sample of the walk is the bad one
+    (0, 100, -1.5, 0.2),        # 0.2 is t - 0.5 at sample 70, up to roundoff
+])
+@pytest.mark.parametrize("block_entries", [None, 30])
+def test_window_steps_raise_where_the_per_step_walk_does(monkeypatch, start, end,
+                                                         a, b, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+    f = generate("crossing", k=1, m=2)
+    ref = _walk(_reference_steps(f, start, end, a, b))
+    got = _walk(window_steps(f, start, end, a, b))
+    assert ref[1] is not None
+    assert [k for k, _ in got[0]] == [k for k, _ in ref[0]]
+    assert got[1] == ref[1]
+
+
+def test_window_steps_stop_before_a_later_boundary():
+    f = generate("crossing", k=1, m=1)
+    # the band jumps between samples 39 and 40; the edge 0 sits on the
+    # moving branch only at sample 50, which a caller stopping at the jump
+    # never reaches
+    first = next(k for k, d in window_steps(f, 0, 100, -0.105, 0.0) if d > 0.5)
+    assert first == 40

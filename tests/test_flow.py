@@ -28,6 +28,8 @@ from bandflow import (
     subspace_distance,
 )
 from bandflow import Atlas, AdaptedChart
+from bandflow import linalg
+from bandflow.flow import _refined_eigenvalue_table
 
 from conftest import random_complex
 
@@ -367,3 +369,27 @@ def test_stabilize_rejects_bad_codim():
         atiyah_stabilize(f, domain_codim=2)
     with pytest.raises(ValidationError):
         atiyah_stabilize(f, domain_codim=-1)
+
+
+def reference_refined_table(f, refine):
+    """Refined eigenvalue table, one eigvalsh per interpolant."""
+    rows = [f.eigen(0).eigenvalues]
+    for k in range(1, f.n_samples):
+        A0, A1 = f.operators[k - 1], f.operators[k]
+        for j in range(1, refine):
+            s = j / refine
+            rows.append(np.linalg.eigvalsh((1.0 - s) * A0 + s * A1))
+        rows.append(f.eigen(k).eigenvalues)
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 5])
+@pytest.mark.parametrize("block_entries", [None, 100])
+def test_refined_table_equals_per_interpolant_solves(monkeypatch, refine, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+    for f in (generate("random_smooth", dim=5, seed=2, samples=30),
+              generate("crossing", k=-2, m=2, samples=21),
+              generate("random_smooth", dim=3, seed=1, samples=2)):
+        assert np.array_equal(_refined_eigenvalue_table(f, refine),
+                              reference_refined_table(f, refine))
