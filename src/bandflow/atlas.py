@@ -129,14 +129,7 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
     mids, clear = mids[keep], clear[keep]
     if mids.size == 0:
         return []
-    # counts[k, i] is the number of |eigenvalues| at sample start + k below
-    # mids[i]: mids are strictly increasing, so that is the number of values
-    # v with searchsorted(mids, v, "right") <= i, a cumulative histogram.
-    rows, n_mids = per_sample.shape[0], mids.size
-    slot = np.searchsorted(mids, per_sample, side="right")
-    slot += np.arange(rows)[:, None] * (n_mids + 1)
-    hist = np.bincount(slot.ravel(), minlength=rows * (n_mids + 1))
-    counts = np.cumsum(hist.reshape(rows, n_mids + 1), axis=1)[:, :n_mids]
+    counts = np.stack([np.searchsorted(row, mids) for row in per_sample])
     constant = np.all(counts == counts[0], axis=0)
     out = [(float(m), float(h), int(r))
            for m, h, r, ok in zip(mids, clear, counts[0], constant) if ok]

@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import (
-    BOUNDARY_TOL_FACTOR,
     SpectralDecomposition,
     Subspace,
     as_hermitian,
     as_square_matrix,
     hermitian_eig_stack,
     spectral_projection,
-    stack_blocks,
+    window_boundary_error,
 )
 
 # Entrywise agreement required of the two endpoint operators of an exact loop.
@@ -217,7 +216,7 @@ class OperatorFamily:
         """Eigendecomposition at sample i, as views into the spectral plane."""
         if i not in self._eig_cache:
             lam, F, _ = self._spectral_plane()
-            self._eig_cache[i] = SpectralDecomposition(eigenvalues=lam[i], frame=F[i])
+            self._eig_cache[i] = SpectralDecomposition._checked(lam[i], F[i])
         return self._eig_cache[i]
 
     def spectral_radius(self) -> float:
@@ -230,41 +229,28 @@ def window_subspace(f: OperatorFamily, sample_index: int, a: float, b: float) ->
     return spectral_projection(f.operators[sample_index], a, b, decomp=dec)
 
 
-def _window_edges_clear(f: OperatorFamily, start: int, end: int, a: float,
-                        b: float) -> np.ndarray:
-    """Per sample of [start, end]: do the finite ends of (a, b) clear every
-    eigenvalue by spectral_projection's boundary tolerance?"""
-    lam = f.eigenvalues[start:end + 1]
-    tol = BOUNDARY_TOL_FACTOR * f.abs_eigenvalues[start:end + 1, -1]
-    clear = np.ones(lam.shape[0], dtype=bool)
-    for edge in (a, b):
-        if np.isfinite(edge):
-            clear &= np.abs(lam - edge).min(axis=1) > tol
-    return clear
-
-
 def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     """Yield (k, distance) between the (a, b) windows at samples k - 1 and k.
 
     The distance is the operator norm of the difference of the two window
-    projectors, as subspace_distance gives it up to roundoff. Projectors and
-    the eigenvalues of their consecutive differences are computed a block of
-    samples at a time. A window edge that sits on an eigenvalue raises
-    window_subspace's SpectralBoundaryError, but only once the walk reaches
-    that sample, so a caller that stops at the first large step raises
-    nothing beyond it.
+    projectors, as subspace_distance gives it up to roundoff. The projectors
+    of the whole range, and the eigenvalues of their consecutive differences,
+    are computed at once. A window edge that sits on an eigenvalue raises
+    spectral_projection's SpectralBoundaryError, but only once the walk
+    reaches that sample, so a caller that stops at the first large step
+    raises nothing beyond it.
     """
-    clear = _window_edges_clear(f, start, end, a, b)
-    stop = start + int(np.argmin(clear)) if not clear.all() else end + 1
-    lam, F = f.eigenvalues, f.frames
-    for blk in stack_blocks(stop - start - 1, f.dim * f.dim):
-        rows = slice(start + blk.start, start + blk.stop + 1)
-        inside = (lam[rows] > a) & (lam[rows] < b)
-        P = np.where(inside[:, None, :], F[rows], 0.0) @ F[rows].conj().transpose(0, 2, 1)
+    lam = f.eigenvalues[start:end + 1]
+    hit = window_boundary_error(lam, a, b)
+    stop = len(lam) if hit is None else hit[0]
+    if stop > 1:
+        F = f.frames[start:start + stop]
+        inside = (lam[:stop] > a) & (lam[:stop] < b)
+        P = np.where(inside[:, None, :], F, 0.0) @ F.conj().transpose(0, 2, 1)
         d = np.abs(np.linalg.eigvalsh(P[:-1] - P[1:])).max(axis=1)
-        yield from zip(range(rows.start + 1, rows.stop), d.tolist())
-    if stop <= end:
-        window_subspace(f, stop, a, b)
+        yield from zip(range(start + 1, start + stop), d.tolist())
+    if hit is not None:
+        raise hit[1]
 
 
 def continuity_check(f: OperatorFamily, a: float, b: float) -> ContinuityReport:

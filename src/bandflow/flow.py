@@ -42,7 +42,6 @@ from .linalg import (
     Subspace,
     as_hermitian,
     hermitian_eig,
-    stack_blocks,
     svd_matched,
 )
 
@@ -280,8 +279,8 @@ def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
     """Sorted eigenvalues on the grid refined by linear operator interpolation.
 
     Grid rows come from the family's eigenvalue table; the refine - 1
-    interpolants between each pair of neighbours are solved together, one
-    stacked eigvalsh per block of neighbour pairs.
+    interpolants between each pair of neighbours are solved together in one
+    stacked eigvalsh.
     """
     if refine < 1:
         raise ValidationError("refine factor must be a positive integer")
@@ -293,11 +292,8 @@ def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
     table[::refine] = lam
     between = table[:-1].reshape(N - 1, refine, n)[:, 1:]
     s = (np.arange(1, refine) / refine)[:, None, None]
-    A = f.operator_stack
-    for blk in stack_blocks(N - 1, (refine - 1) * n * n):
-        A0 = A[blk][:, None]
-        A1 = A[blk.start + 1:blk.stop + 1][:, None]
-        between[blk] = np.linalg.eigvalsh((1.0 - s) * A0 + s * A1)
+    A = f.operator_stack[:, None]
+    between[:] = np.linalg.eigvalsh((1.0 - s) * A[:-1] + s * A[1:])
     return table
 
 

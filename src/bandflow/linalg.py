@@ -44,10 +44,6 @@ RECON_TOL = 1e-9
 COMBINATION_IDENTITY_TOL = 1e-10
 
 _PHASE_TOL = 1e-9
-# Matrix entries per slice when a stack of matrices is checked or solved in
-# slices, so each complex temporary stays at 512 KiB whatever the stack size
-# (whole-stack temporaries of a 1000-sample, dim-100 family take 160 MB each).
-BLOCK_ENTRIES = 1 << 15
 
 
 def as_square_matrix(entries) -> np.ndarray:
@@ -78,14 +74,6 @@ def as_hermitian(entries) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def stack_blocks(count: int, item_entries: int) -> list:
-    """Slices covering range(count), each holding at most BLOCK_ENTRIES
-    matrix entries when an item has item_entries of them (at least one item
-    per slice)."""
-    step = max(1, BLOCK_ENTRIES // max(1, item_entries))
-    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
 def _fix_phases_inplace(F: np.ndarray) -> None:
     """Rotate each column of each frame in F (..., n, k) so its first
     significant component is real positive; numerically zero columns stay."""
@@ -110,19 +98,30 @@ def fix_phases(frame: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues sorted ascending with a matching orthonormal frame.
-
-    Built from hermitian_eig_stack output, which has already checked the
-    order, the orthonormality and the residual; only shapes are checked here.
-    """
+    """Eigenvalues sorted ascending with a matching orthonormal frame."""
 
     eigenvalues: np.ndarray
     frame: np.ndarray
 
     def __post_init__(self):
-        lam, F = np.asarray(self.eigenvalues), np.asarray(self.frame)
+        lam = np.asarray(self.eigenvalues, dtype=float)
+        F = np.asarray(self.frame, dtype=np.complex128)
         if lam.ndim != 1 or F.ndim != 2 or F.shape[1] != lam.size:
             raise ValidationError("eigenvalue/frame shape mismatch")
+        if np.any(np.diff(lam) < 0):
+            raise ValidationError("eigenvalues must be sorted ascending")
+        gram = F.conj().T @ F
+        if np.abs(gram - np.eye(lam.size)).max() > FRAME_ORTHO_TOL:
+            raise ValidationError("eigenvector frame is not orthonormal")
+
+    @classmethod
+    def _checked(cls, eigenvalues: np.ndarray, frame: np.ndarray) -> "SpectralDecomposition":
+        """Wrap one row of hermitian_eig_stack output, which has already been
+        checked for order, orthonormality and residual, without re-checking."""
+        dec = object.__new__(cls)
+        object.__setattr__(dec, "eigenvalues", eigenvalues)
+        object.__setattr__(dec, "frame", frame)
+        return dec
 
     @property
     def dim(self) -> int:
@@ -203,34 +202,29 @@ def hermitian_eig_stack(As: np.ndarray) -> tuple:
     Returns (lam, F) with shapes (N, n) and (N, n, n).
     """
     lam, F = np.linalg.eigh(As)
+    _fix_phases_inplace(F)
     n = As.shape[-1]
-    diag = np.arange(n)
-    for b in stack_blocks(len(As), n * n):
-        Fb, lb = F[b], lam[b]
-        _fix_phases_inplace(Fb)
-        R = As[b] @ Fb
-        R -= Fb * lb[:, None, :]
-        resid = np.abs(R).max(axis=(1, 2))
-        G = Fb.conj().transpose(0, 2, 1) @ Fb
-        G[:, diag, diag] -= 1.0
-        ortho = np.abs(G).max(axis=(1, 2))
-        unsorted = np.any(np.diff(lb, axis=1) < 0, axis=1)
-        bad_resid = resid > RECON_TOL * (1.0 + np.abs(lb).max(axis=1))
-        bad_ortho = ortho > FRAME_ORTHO_TOL
-        bad = bad_resid | unsorted | bad_ortho
-        if bad.any():
-            k = int(np.argmax(bad))
-            where = f"sample {b.start + k}"
-            if bad_resid[k]:
-                raise ModelViolationError(
-                    f"{where}: eigendecomposition residual {resid[k]:.3e} exceeds tolerance"
-                )
-            if unsorted[k]:
-                raise ModelViolationError(f"{where}: eigenvalues are not sorted ascending")
+    R = As @ F
+    R -= F * lam[:, None, :]
+    resid = np.abs(R).max(axis=(1, 2))
+    G = F.conj().transpose(0, 2, 1) @ F
+    G[:, np.arange(n), np.arange(n)] -= 1.0
+    ortho = np.abs(G).max(axis=(1, 2))
+    unsorted = np.any(np.diff(lam, axis=1) < 0, axis=1)
+    bad_resid = resid > RECON_TOL * (1.0 + np.abs(lam).max(axis=1))
+    bad_ortho = ortho > FRAME_ORTHO_TOL
+    bad = bad_resid | unsorted | bad_ortho
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_resid[k]:
             raise ModelViolationError(
-                f"{where}: eigenvector frame is not orthonormal "
-                f"(defect {ortho[k]:.3e})"
+                f"sample {k}: eigendecomposition residual {resid[k]:.3e} exceeds tolerance"
             )
+        if unsorted[k]:
+            raise ModelViolationError(f"sample {k}: eigenvalues are not sorted ascending")
+        raise ModelViolationError(
+            f"sample {k}: eigenvector frame is not orthonormal (defect {ortho[k]:.3e})"
+        )
     return lam, F
 
 
@@ -242,12 +236,39 @@ def hermitian_eig(A) -> SpectralDecomposition:
     residual, order and orthonormality checks (the sample named is 0).
     """
     lam, F = hermitian_eig_stack(as_hermitian(A)[None])
-    return SpectralDecomposition(eigenvalues=lam[0], frame=F[0])
+    return SpectralDecomposition._checked(lam[0], F[0])
 
 
-def _boundary_tol(lam: np.ndarray) -> float:
-    radius = float(np.abs(lam).max()) if lam.size else 0.0
-    return BOUNDARY_TOL_FACTOR * radius
+def window_boundary_error(lam: np.ndarray, lo: float, hi: float):
+    """First row of an eigenvalue table at which a window end is ambiguous.
+
+    lam is (N, n): row x holds the eigenvalues of sample x. A finite end of
+    (lo, hi) is ambiguous at a row when it lies within BOUNDARY_TOL_FACTOR
+    times that row's spectral radius of one of its eigenvalues. Returns
+    (row, SpectralBoundaryError naming that eigenvalue) for the first such
+    row, lo checked before hi, or None when every row clears both ends. An
+    empty window raises ValidationError at once.
+    """
+    if not lo < hi:
+        raise ValidationError(f"empty window ({lo}, {hi})")
+    if lam.shape[1] == 0:
+        return None
+    tol = BOUNDARY_TOL_FACTOR * np.abs(lam).max(axis=1)
+    first = None
+    for edge in (lo, hi):
+        if not np.isfinite(edge):
+            continue
+        d = np.abs(lam - edge)
+        j = np.argmin(d, axis=1)
+        dj = d[np.arange(lam.shape[0]), j]
+        hit = np.flatnonzero(dj <= tol)
+        if hit.size and (first is None or hit[0] < first[0]):
+            x = int(hit[0])
+            first = (x, SpectralBoundaryError(
+                f"eigenvalue {lam[x, j[x]]:.12g} sits at window endpoint {edge:.12g} "
+                f"(distance {dj[x]:.3e} <= tol {tol[x]:.3e})"
+            ))
+    return first
 
 
 def spectral_projection(A, lo: float, hi: float, decomp: SpectralDecomposition | None = None) -> Subspace:
@@ -263,16 +284,9 @@ def spectral_projection(A, lo: float, hi: float, decomp: SpectralDecomposition |
         raise ValidationError(f"empty window ({lo}, {hi})")
     dec = decomp if decomp is not None else hermitian_eig(A)
     lam = dec.eigenvalues
-    tol = _boundary_tol(lam)
-    for edge in (lo, hi):
-        if np.isfinite(edge) and lam.size:
-            d = np.abs(lam - edge)
-            j = int(np.argmin(d))
-            if d[j] <= tol:
-                raise SpectralBoundaryError(
-                    f"eigenvalue {lam[j]:.12g} sits at window endpoint {edge:.12g} "
-                    f"(distance {d[j]:.3e} <= tol {tol:.3e})"
-                )
+    hit = window_boundary_error(lam[None], lo, hi)
+    if hit is not None:
+        raise hit[1]
     mask = (lam > lo) & (lam < hi)
     return Subspace(dec.frame.shape[0], dec.frame[:, mask])
 

@@ -17,7 +17,6 @@ from bandflow import (
     subspace_distance,
     window_subspace,
 )
-from bandflow import linalg
 from bandflow.families import window_steps
 
 from conftest import random_hermitian
@@ -339,10 +338,7 @@ PLANE_FAMILIES = (
 
 @pytest.mark.parametrize("f", PLANE_FAMILIES,
                          ids=lambda f: f"dim{f.dim}x{f.n_samples}")
-@pytest.mark.parametrize("block_entries", [None, 40])
-def test_plane_equals_per_sample_eig(f, block_entries, monkeypatch):
-    if block_entries is not None:
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+def test_plane_equals_per_sample_eig(f):
     f = OperatorFamily(grid=f.grid, dim=f.dim, operators=f.operators,
                        polarized_bands=f.polarized_bands)
     for k, A in enumerate(f.operators):
@@ -391,10 +387,7 @@ def _corrupt_eigh(monkeypatch, sample, how):
     ("order", "sample 7: eigenvalues are not sorted ascending"),
     ("frame", "sample 7: eigenvector frame is not orthonormal"),
 ])
-@pytest.mark.parametrize("block_entries", [None, 50])
-def test_plane_names_first_bad_sample(monkeypatch, how, message, block_entries):
-    if block_entries is not None:
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+def test_plane_names_first_bad_sample(monkeypatch, how, message):
     f = generate("random_smooth", dim=4, seed=5, samples=20)
     _corrupt_eigh(monkeypatch, 7, how)
     with pytest.raises(ModelViolationError, match=message):
@@ -416,8 +409,8 @@ def _walk(steps):
     try:
         for step in steps:
             taken.append(step)
-    except SpectralBoundaryError as exc:
-        return taken, str(exc)
+    except (SpectralBoundaryError, ValidationError) as exc:
+        return taken, f"{type(exc).__name__}: {exc}"
     return taken, None
 
 
@@ -429,11 +422,7 @@ def _walk(steps):
     ("crossing", {"k": 1, "m": 1}, 0, 100, -0.105, 0.105),
     ("crossing", {"k": 2, "m": 2, "samples": 31}, 3, 3, -0.2, 0.2),
 ])
-@pytest.mark.parametrize("block_entries", [None, 60])
-def test_window_steps_match_per_step_walk(monkeypatch, name, params, start, end,
-                                          a, b, block_entries):
-    if block_entries is not None:
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+def test_window_steps_match_per_step_walk(name, params, start, end, a, b):
     f = generate(name, **params)
     ref, ref_err = _walk(_reference_steps(f, start, end, a, b))
     got, err = _walk(window_steps(f, start, end, a, b))
@@ -447,18 +436,21 @@ def test_window_steps_match_per_step_walk(monkeypatch, name, params, start, end,
     (30, 100, -0.2, 0.0),
     (50, 60, 0.0, 1.0),         # the first sample of the walk is the bad one
     (0, 100, -1.5, 0.2),        # 0.2 is t - 0.5 at sample 70, up to roundoff
+    (0, 100, 0.3, -0.3),        # empty window
 ])
-@pytest.mark.parametrize("block_entries", [None, 30])
-def test_window_steps_raise_where_the_per_step_walk_does(monkeypatch, start, end,
-                                                         a, b, block_entries):
-    if block_entries is not None:
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+def test_window_steps_raise_where_the_per_step_walk_does(start, end, a, b):
     f = generate("crossing", k=1, m=2)
     ref = _walk(_reference_steps(f, start, end, a, b))
     got = _walk(window_steps(f, start, end, a, b))
     assert ref[1] is not None
     assert [k for k, _ in got[0]] == [k for k, _ in ref[0]]
     assert got[1] == ref[1]
+
+
+def test_continuity_check_rejects_empty_window():
+    f = generate("crossing", k=1, m=1)
+    with pytest.raises(ValidationError, match="empty window"):
+        continuity_check(f, 0.3, -0.3)
 
 
 def test_window_steps_stop_before_a_later_boundary():

@@ -28,7 +28,6 @@ from bandflow import (
     subspace_distance,
 )
 from bandflow import Atlas, AdaptedChart
-from bandflow import linalg
 from bandflow.flow import _refined_eigenvalue_table
 
 from conftest import random_complex
@@ -384,10 +383,7 @@ def reference_refined_table(f, refine):
 
 
 @pytest.mark.parametrize("refine", [1, 2, 3, 5])
-@pytest.mark.parametrize("block_entries", [None, 100])
-def test_refined_table_equals_per_interpolant_solves(monkeypatch, refine, block_entries):
-    if block_entries is not None:
-        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", block_entries)
+def test_refined_table_equals_per_interpolant_solves(refine):
     for f in (generate("random_smooth", dim=5, seed=2, samples=30),
               generate("crossing", k=-2, m=2, samples=21),
               generate("random_smooth", dim=3, seed=1, samples=2)):

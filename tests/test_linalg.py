@@ -7,6 +7,7 @@ from bandflow import (
     InjectivityError,
     ModelViolationError,
     SpectralBoundaryError,
+    SpectralDecomposition,
     Subspace,
     ValidationError,
     absolute_value,
@@ -261,6 +262,18 @@ def test_subspace_validation():
         Subspace(3, np.ones((3, 2)))  # not orthonormal
     with pytest.raises(ValidationError):
         Subspace(3, np.eye(4))
+
+
+def test_caller_built_decomposition_is_checked():
+    lam = np.array([-1.0, 2.0])
+    with pytest.raises(ValidationError, match="sorted ascending"):
+        SpectralDecomposition(eigenvalues=lam[::-1], frame=np.eye(2))
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        SpectralDecomposition(eigenvalues=lam, frame=2.0 * np.eye(2))
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        SpectralDecomposition(eigenvalues=lam, frame=np.eye(3))
+    dec = SpectralDecomposition(eigenvalues=lam, frame=np.eye(2))
+    assert spectral_projection(None, 0.0, np.inf, decomp=dec).dim == 1
 
 
 def test_orthonormal_image_expect_dim():
