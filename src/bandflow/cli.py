@@ -5,6 +5,12 @@ with sorted keys and repr floats, so a fixed spec and fixed flags produce
 byte-identical files run after run; wall time goes to stderr and never into
 a report. Exit codes: 0 success, 2 mathematical obstruction (a loop whose
 flow blocks a section), 1 any error.
+
+JSON text comes from one recursive encoder whose output is exactly
+json.dumps(..., indent=2, sort_keys=True) of the nested-list form of the
+data. It takes numpy arrays as they are: a real float array is written a
+row at a time from one tolist(), with no per-entry conversion, which keeps
+the sampled family that polarize writes cheap.
 """
 
 from __future__ import annotations
@@ -53,34 +59,26 @@ HOMOTOPY_STOPS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _pair(z) -> dict:
-    z = complex(z)
-    return {"im": float(z.imag), "re": float(z.real)}
-
-
 def _frame_json(V: Subspace) -> dict:
-    cols = [[_pair(V.frame[r, c]) for r in range(V.ambient_dim)]
-            for c in range(V.dim)]
-    return {"ambient_dim": V.ambient_dim, "columns": cols, "dim": V.dim}
+    return {"ambient_dim": V.ambient_dim, "columns": V.frame.T, "dim": V.dim}
 
 
 def _grid_json(grid: ParameterGrid) -> dict:
     return {
         "closure": grid.closure,
         "kind": grid.kind,
-        "samples": [float(s) for s in grid.samples],
+        "samples": grid.samples,
         "shift": int(grid.shift),
     }
 
 
 def _family_json(f: OperatorFamily) -> dict:
-    real = [[[float(v.real) for v in row] for row in A] for A in f.operators]
-    imag = [[[float(v.imag) for v in row] for row in A] for A in f.operators]
+    ops = f.operator_stack
     out = {
         "sampled": {
             "dim": f.dim,
             "grid": _grid_json(f.grid),
-            "matrices": {"imag": imag, "real": real},
+            "matrices": {"imag": ops.imag, "real": ops.real},
         }
     }
     if f.polarized_bands is not None:
@@ -95,27 +93,99 @@ def _atlas_json(atlas: Atlas) -> list:
             for c in atlas.charts]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.complexfloating, complex)):
-        return _pair(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+_INDENT = "  "
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == np.inf:
+        return "Infinity"
+    if x == -np.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_rows(rows: list, depth: int, nl: str, out: list, fmt) -> None:
+    """Append nested lists of floats, depth levels deep, one chunk per row."""
+    if not rows:
+        out.append("[]")
+        return
+    inner = nl + _INDENT
+    if depth == 1:
+        out.append("[" + inner + ("," + inner).join(map(fmt, rows)) + nl + "]")
+        return
+    sep = "[" + inner
+    for row in rows:
+        out.append(sep)
+        _float_rows(row, depth - 1, inner, out, fmt)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _encode(obj, nl: str, out: list) -> None:
+    """Append the JSON text of obj to out; nl is a newline plus obj's indent.
+
+    The text is what json.dumps(..., indent=2, sort_keys=True) gives for the
+    nested-list form of obj: keys turned into strings and sorted, numpy
+    scalars as Python numbers, arrays as nested lists and complex numbers as
+    {"im": ..., "re": ...}. Real float arrays are written a row at a time.
+    """
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        inner = nl + _INDENT
+        sep = "{" + inner
+        for key in sorted(items):
+            out.append(sep + _quote(key) + ": ")
+            _encode(items[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + _INDENT
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _encode(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            raise TypeError("a 0-d array is not a JSON list")
+        if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
+            fmt = float.__repr__ if np.isfinite(obj).all() else _float_text
+            _float_rows(obj.tolist(), obj.ndim, nl, out, fmt)
+        else:
+            _encode(obj.tolist(), nl, out)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        _encode({"im": z.imag, "re": z.real}, nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, obj) -> str:
     """Write obj as JSON under the serialization rules; returns the text."""
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     path.write_text(text)
     return text
 
@@ -238,6 +308,29 @@ def load_family_spec(path, seed: int | None = None) -> tuple:
     raise SpecError("spec: need either 'generator' or 'sampled'")
 
 
+def _section_frame(cols, dim: int, where: str) -> np.ndarray:
+    """The (dim, k) complex frame of k columns of {"re": x, "im": y} entries."""
+    if not isinstance(cols, list):
+        raise SpecError(f"{where}.columns: expected a list of columns, got {cols!r}")
+    for c, col in enumerate(cols):
+        if not isinstance(col, list) or len(col) != dim:
+            raise SpecError(f"{where}.columns[{c}]: expected {dim} entries")
+    try:
+        parts = np.array([[(e["re"], e.get("im", 0.0)) for e in col] for col in cols])
+        parts = parts.reshape(len(cols), dim, 2)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(
+            f"{where}.columns: expected entries {{\"re\": <float>, \"im\": <float>}}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    if parts.dtype.kind not in "biuf":
+        raise SpecError(f"{where}.columns: entries must be numbers, got {parts.dtype} values")
+    frame = np.empty((dim, len(cols)), dtype=np.complex128)
+    frame.real = parts[..., 0].T
+    frame.imag = parts[..., 1].T
+    return frame
+
+
 def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
     p = Path(path)
     where = "section"
@@ -245,28 +338,31 @@ def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
         obj = json.loads(p.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"{where}: cannot parse {p}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where}: top level must be an object")
     cut = _require(obj, "reference_cut", where)
+    try:
+        cut = float(cut)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{where}.reference_cut: expected a number, got {cut!r}") from exc
     frames = _require(obj, "subspaces", where)
+    if not isinstance(frames, list):
+        raise SpecError(f"{where}.subspaces: expected a list of frames, got {frames!r}")
     if len(frames) != f.n_samples:
         raise SpecError(
             f"{where}.subspaces: {len(frames)} frames for {f.n_samples} samples"
         )
     subs = []
     for k, fr in enumerate(frames):
-        cols = _require(fr, "columns", f"{where}.subspaces[{k}]")
-        mat = np.zeros((f.dim, len(cols)), dtype=np.complex128)
-        for c, col in enumerate(cols):
-            if len(col) != f.dim:
-                raise SpecError(
-                    f"{where}.subspaces[{k}].columns[{c}]: expected {f.dim} entries"
-                )
-            for r, entry in enumerate(col):
-                mat[r, c] = complex(entry["re"], entry.get("im", 0.0))
+        at = f"{where}.subspaces[{k}]"
+        if not isinstance(fr, dict):
+            raise SpecError(f"{at}: expected an object with 'columns'")
+        mat = _section_frame(_require(fr, "columns", at), f.dim, at)
         try:
             subs.append(Subspace(f.dim, mat))
         except BandflowError as exc:
-            raise SpecError(f"{where}.subspaces[{k}]: {exc}") from exc
-    return WeakSpectralSection(subspaces=tuple(subs), reference_cut=float(cut))
+            raise SpecError(f"{at}: {exc}") from exc
+    return WeakSpectralSection(subspaces=tuple(subs), reference_cut=cut)
 
 
 def _options_dict(args, keys) -> dict:
@@ -281,7 +377,7 @@ def _write_report(out: Path, command: str, raw: bytes, opts: dict, checks: list,
     opts. Returns the exit code the checks call for.
     """
     digest = hashlib.sha256(raw)
-    digest.update(json.dumps(_jsonable(opts), sort_keys=True).encode("utf-8"))
+    digest.update(json.dumps(opts, sort_keys=True).encode("utf-8"))
     report = {
         "command": command,
         "inputs_digest": digest.hexdigest(),

@@ -239,33 +239,36 @@ def hermitian_eig(A) -> SpectralDecomposition:
     return SpectralDecomposition._checked(lam[0], F[0])
 
 
-def window_boundary_error(lam: np.ndarray, lo: float, hi: float):
+def window_boundary_error(lam: np.ndarray, lo, hi: float):
     """First row of an eigenvalue table at which a window end is ambiguous.
 
-    lam is (N, n): row x holds the eigenvalues of sample x. A finite end of
+    lam is (N, n): row x holds the eigenvalues of sample x. lo is a float,
+    or an (N,) array giving the lower end row by row. A finite end of
     (lo, hi) is ambiguous at a row when it lies within BOUNDARY_TOL_FACTOR
     times that row's spectral radius of one of its eigenvalues. Returns
     (row, SpectralBoundaryError naming that eigenvalue) for the first such
     row, lo checked before hi, or None when every row clears both ends. An
     empty window raises ValidationError at once.
     """
-    if not lo < hi:
+    if not (np.less(lo, hi).all() if isinstance(lo, np.ndarray) else lo < hi):
         raise ValidationError(f"empty window ({lo}, {hi})")
     if lam.shape[1] == 0:
         return None
     tol = BOUNDARY_TOL_FACTOR * np.abs(lam).max(axis=1)
     first = None
     for edge in (lo, hi):
-        if not np.isfinite(edge):
+        per_row = isinstance(edge, np.ndarray)
+        if not per_row and not np.isfinite(edge):
             continue
-        d = np.abs(lam - edge)
+        d = np.abs(lam - (edge[:, None] if per_row else edge))
         j = np.argmin(d, axis=1)
         dj = d[np.arange(lam.shape[0]), j]
         hit = np.flatnonzero(dj <= tol)
         if hit.size and (first is None or hit[0] < first[0]):
             x = int(hit[0])
+            at = edge[x] if per_row else edge
             first = (x, SpectralBoundaryError(
-                f"eigenvalue {lam[x, j[x]]:.12g} sits at window endpoint {edge:.12g} "
+                f"eigenvalue {lam[x, j[x]]:.12g} sits at window endpoint {at:.12g} "
                 f"(distance {dj[x]:.3e} <= tol {tol[x]:.3e})"
             ))
     return first

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bandflow import generate, make_weak_section
-from bandflow.cli import main
+from bandflow.cli import _encode, _load_section_file, _write_json, load_family_spec, main
 
 
 def write_spec(tmp_path, obj, name="family.json"):
@@ -318,6 +321,55 @@ def test_section_rejects_bad_section_file(tmp_path, capsys):
     assert "subspaces" in capsys.readouterr().err
 
 
+_E1 = [{"re": 1.0, "im": 0.0}, {"re": 0.0}]
+
+
+def _section_with(frame=None, **top):
+    """Section file for _sampled_spec(): e1 at every sample, frame at sample 1."""
+    frames = [{"columns": [_E1]}] * 3
+    if frame is not None:
+        frames = [frames[0], frame, frames[2]]
+    return {"reference_cut": 0.0, "subspaces": frames, **top}
+
+
+@pytest.mark.parametrize("section, field", [
+    (_section_with({"columns": [[{"im": 0.0}, {"re": 0.0}]]}), "section.subspaces[1].columns"),
+    (_section_with({"columns": [[1.0, 0.0]]}), "section.subspaces[1].columns"),
+    (_section_with({"columns": [[{"re": "x"}, {"re": 0.0}]]}), "section.subspaces[1].columns"),
+    (_section_with({"columns": [[{"re": None}, {"re": 0.0}]]}), "section.subspaces[1].columns"),
+    (_section_with({"columns": [[{"re": [1.0, 0.0]}, {"re": 0.0}]]}),
+     "section.subspaces[1].columns"),
+    (_section_with({"columns": [[{"re": 1.0}]]}), "section.subspaces[1].columns[0]"),
+    (_section_with({"columns": 5}), "section.subspaces[1].columns"),
+    (_section_with([_E1]), "section.subspaces[1]"),
+    (_section_with(subspaces=5), "section.subspaces"),
+    (_section_with(reference_cut="x"), "section.reference_cut"),
+    ([0.0], "section"),
+], ids=["entry-without-re", "bare-number", "re-string", "re-null", "re-list",
+        "short-column", "columns-not-list", "frame-not-object", "subspaces-not-list",
+        "cut-string", "top-level-list"])
+def test_malformed_section_file_is_a_spec_error(tmp_path, capsys, section, field):
+    section_path = tmp_path / "section.json"
+    section_path.write_text(json.dumps(section))
+    spec = write_spec(tmp_path, _sampled_spec())
+    code = main(["section", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                 "--section-file", str(section_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"spec error: {field}:")
+
+
+def test_section_file_entries_keep_signed_zeros_and_integers(tmp_path):
+    column = [{"re": -0.0, "im": 1}, {"re": 0, "im": -0.0}]
+    f, _ = load_family_spec(write_spec(tmp_path, _sampled_spec()))
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps({"reference_cut": 0.5, "subspaces": [{"columns": [column]}] * 3}))
+    frame = _load_section_file(path, f).subspaces[0].frame
+    expected = np.array([[complex(-0.0, 1)], [complex(0, -0.0)]])
+    assert frame.flags.c_contiguous
+    assert np.array_equal(frame.view(np.float64), expected.view(np.float64))
+    assert np.array_equal(np.signbit(frame.view(np.float64)), np.signbit(expected.view(np.float64)))
+
+
 # ---------------------------------------------------------------- polarize
 
 
@@ -339,3 +391,93 @@ def test_polarize_crossing_and_reload(tmp_path):
     assert code2 == 0
     reloaded = read_report(out2, "flow_report.json")
     assert reloaded["outputs"]["flow_chartwise"] == 1
+
+
+# ------------------------------------------------------------ JSON writer
+
+
+def _jsonable(obj):
+    """Nested-list form of a report object; with json.dumps, the reference
+    for the writer's text."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.complexfloating, complex)):
+        z = complex(obj)
+        return {"im": float(z.imag), "re": float(z.real)}
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def _encoded(obj) -> str:
+    out = []
+    _encode(obj, "\n", out)
+    return "".join(out)
+
+
+_EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"), 0.1, 1e16, 123456789.0,
+])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_ARRAYS = st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
+    hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32)),
+    hnp.arrays(np.complex128, _SHAPES, elements=_COMPLEX),
+    hnp.arrays(np.int64, _SHAPES),
+    hnp.arrays(np.uint8, _SHAPES),
+    hnp.arrays(np.bool_, _SHAPES),
+    st.sampled_from([np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((2, 0, 2)),
+                     np.zeros((0,), dtype=np.complex128), np.zeros((4, 4)).T[1:, ::2]]),
+)
+_NUMPY_SCALARS = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+    _COMPLEX.map(np.complex128),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FLOATS, _COMPLEX, st.text(),
+    _NUMPY_SCALARS, _ARRAYS,
+)
+_OBJECTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(_OBJECTS)
+def test_json_writer_matches_indented_json_dumps(obj):
+    try:
+        expected = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+    except TypeError:
+        # a 0-d array has no nested-list form
+        with pytest.raises(TypeError):
+            _encoded(obj)
+        return
+    assert _encoded(obj) == expected
+
+
+def test_json_writer_writes_the_report_text(tmp_path):
+    obj = {"a": np.arange(6.0).reshape(2, 3), 2: [np.int32(4), None, "é"], "z": 1j}
+    text = _write_json(tmp_path / "x.json", obj)
+    assert text == json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "x.json").read_bytes() == text.encode("ascii")

@@ -11,6 +11,7 @@ from bandflow import (
     AtlasBuildError,
     OperatorFamily,
     ParameterGrid,
+    SpectralBoundaryError,
     ValidationError,
     band_identity_check,
     build_atlas,
@@ -21,14 +22,21 @@ from bandflow import (
     partition_of_unity,
     radius_function,
     strictly_adapted_check,
+    subspace_distance,
+    window_subspace,
 )
+from bandflow.polarize import BAND_IDENTITY_TOL, _admissible_band_levels
 
 
 def constant_family(diagonal, samples=3):
-    t = np.linspace(0.0, 1.0, samples)
+    return diagonal_family([diagonal] * samples)
+
+
+def diagonal_family(diagonals):
+    t = np.linspace(0.0, 1.0, len(diagonals))
     grid = ParameterGrid(kind="interval_path", samples=t, closure="open_path")
-    A = np.diag(np.asarray(diagonal, dtype=np.complex128))
-    return OperatorFamily(grid=grid, dim=len(diagonal), operators=(A,) * samples)
+    ops = tuple(np.diag(np.asarray(d, dtype=np.complex128)) for d in diagonals)
+    return OperatorFamily(grid=grid, dim=len(diagonals[0]), operators=ops)
 
 
 # ------------------------------------------------------------ squash profile
@@ -224,6 +232,65 @@ def test_band_identity_detects_mismatch():
     wrong = constant_family([-1.0, -0.025, 1.0])
     with pytest.raises(ValidationError, match="band identity fails"):
         band_identity_check(g, wrong, np.full(3, 0.5))
+
+
+def _band_identity_loop(g, replaced, radius, gap_tol=1e-6):
+    """Sample-by-sample form of band_identity_check, the reference."""
+    worst, checked, skipped = 0.0, 0, 0
+    for x in range(g.n_samples):
+        levels = _admissible_band_levels(g, x, float(radius[x]) / 2.0 - gap_tol, gap_tol)
+        skipped += not levels
+        for eps in levels:
+            d = subspace_distance(window_subspace(g, x, eps, np.inf),
+                                  window_subspace(replaced, x, eps, np.inf))
+            worst = max(worst, d)
+            checked += 1
+            if d > BAND_IDENTITY_TOL:
+                raise ValidationError(
+                    f"band identity fails at sample {x}, level {eps:.6g}: "
+                    f"distance {d:.3e}"
+                )
+    return {"worst_distance": worst, "levels_checked": checked,
+            "samples_skipped": skipped}
+
+
+@pytest.mark.parametrize("name,params", [
+    ("crossing", {}),
+    ("rotation", {}),
+    ("truncated_shift_flow", {}),
+    ("polarized_crossing", {}),
+    ("random_smooth", {"dim": 4, "samples": 80, "seed": 2}),
+    ("random_smooth", {"dim": 7, "samples": 60, "seed": 5}),
+])
+def test_band_identity_matches_per_sample_loop(name, params):
+    rep = finite_polarized_replace(generate(name, **params))
+    batched = band_identity_check(rep.scaled_input, rep.family, rep.radius)
+    assert batched["levels_checked"] > 0
+    # equal floats, not close ones: the batch makes the same gemm and eigvalsh calls
+    assert batched == _band_identity_loop(rep.scaled_input, rep.family, rep.radius)
+
+
+# Sample 2 moves an eigenvalue across the level 0.0125 (a distance of 1);
+# sample 4 puts one on that level, where the window edge is ambiguous.
+MOVED = [-1.0, -0.025, 1.0]
+ON_LEVEL = [-1.0, 0.0125, 1.0]
+
+
+@pytest.mark.parametrize("at2,at4,error", [
+    (MOVED, ON_LEVEL, ValidationError),
+    (ON_LEVEL, MOVED, SpectralBoundaryError),
+    (ON_LEVEL, ON_LEVEL, SpectralBoundaryError),
+])
+def test_band_identity_raises_at_first_failing_pair(at2, at4, error):
+    base = [-1.0, 0.025, 1.0]
+    g = constant_family(base, samples=6)
+    replaced = diagonal_family([base, base, at2, base, at4, base])
+    radius = np.full(6, 0.5)
+    with pytest.raises(error) as expected:
+        _band_identity_loop(g, replaced, radius)
+    with pytest.raises(error) as batched:
+        band_identity_check(g, replaced, radius)
+    assert str(batched.value) == str(expected.value)
 
 
 # ------------------------------------------------------------ flow preservation
