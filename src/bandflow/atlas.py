@@ -8,7 +8,13 @@ single-sample overlaps between neighbours.
 
 The radius search works on pooled absolute eigenvalues: the distance from
 the pair {-eps, +eps} to an eigenvalue lam is | |lam| - eps |, so admissible
-radii are midpoints of gaps in the pooled absolute spectrum.
+radii are midpoints of gaps in the pooled absolute spectrum. Lengthening a
+sample range only splits gaps of its pool and adds rank constraints, so the
+ends j for which [start, j] still has a radius form a prefix of the grid;
+the atlas asks for the radii of the longest allowed chart once and bisects
+for the end of that prefix only when there are none. The prefix is exact in
+real arithmetic; a computed clearance of a sub-gap can exceed its parent's
+only by rounding, which matters only within an ulp of gap_tol.
 """
 
 from __future__ import annotations
@@ -89,6 +95,23 @@ def _round_sig(x: float) -> float:
     return float(f"{x:.{_SIG_DIGITS}g}")
 
 
+def gap_table(edges: np.ndarray, floor: float | np.ndarray | None = None,
+              cap: float | np.ndarray | None = None):
+    """Gaps between consecutive sorted edges along the last axis, unfiltered.
+
+    Each gap (a, b) is clipped to (max(a, floor), min(b, cap)); floor and cap
+    broadcast against the gaps, so a (N, m) edge table may take one cap per
+    row. Returns (keep, mids, clearance), each of the gaps' shape: keep marks
+    the gaps the clipping leaves nonempty, and clearance = min(mid - a,
+    b - mid) is the distance to the unclipped edges.
+    """
+    a, b = edges[..., :-1], edges[..., 1:]
+    lo = a if floor is None else np.maximum(a, floor)
+    hi = b if cap is None else np.minimum(b, cap)
+    mids = 0.5 * (lo + hi)
+    return hi > lo, mids, np.minimum(mids - a, b - mids)
+
+
 def gap_midpoints(edges: np.ndarray, floor: float | None = None,
                   cap: float | None = None):
     """Midpoints of the gaps between consecutive sorted edges.
@@ -98,13 +121,8 @@ def gap_midpoints(edges: np.ndarray, floor: float | None = None,
     rest, in edge order, where clearance = min(mid - a, b - mid) is the
     distance to the unclipped edges.
     """
-    a, b = edges[:-1], edges[1:]
-    lo = a if floor is None else np.maximum(a, floor)
-    hi = b if cap is None else np.minimum(b, cap)
-    keep = hi > lo
-    a, b = a[keep], b[keep]
-    mids = 0.5 * (lo[keep] + hi[keep])
-    return mids, np.minimum(mids - a, b - mids)
+    keep, mids, clear = gap_table(edges, floor, cap)
+    return mids[keep], clear[keep]
 
 
 def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
@@ -181,23 +199,35 @@ def is_adapted(f: OperatorFamily, chart: AdaptedChart, gap_tol: float = DEFAULT_
 
 def _grow_chart(f: OperatorFamily, start: int, max_chart_len: int, gap_tol: float,
                 eps_cap: float | None = None):
-    """Extend a chart rightward from start as far as any radius survives."""
-    n = f.n_samples
-    hard_end = min(n - 1, start + max_chart_len - 1)
-    feasible_end = None
-    j = start
-    while j <= hard_end:
-        if not _radius_candidates(f, start, j, gap_tol, eps_cap):
-            break
-        feasible_end = j
-        j += 1
-    if feasible_end is None:
-        raise AtlasBuildError(
-            f"no admissible gap radius at sample {start}; "
-            f"refine the grid or lower gap_tol"
-        )
+    """Extend a chart rightward from start as far as any radius survives.
+
+    The ends with a radius form a prefix [start, F] (see the module
+    docstring), so one search at the longest allowed end usually settles F;
+    otherwise F is bisected, at O(log L) searches. This leans on the prefix
+    being exact: a sub-gap clearance that rounding lifts over its parent's
+    could, within an ulp of gap_tol, make a scan and a bisection disagree.
+    """
+    hard_end = min(f.n_samples - 1, start + max_chart_len - 1)
+    feasible_end, found = hard_end, _radius_candidates(f, start, hard_end, gap_tol, eps_cap)
+    if not found:
+        lo, hi = start - 1, hard_end
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            cands = _radius_candidates(f, start, mid, gap_tol, eps_cap)
+            if cands:
+                lo, found = mid, cands
+            else:
+                hi = mid
+        if not found:
+            raise AtlasBuildError(
+                f"no admissible gap radius at sample {start}; "
+                f"refine the grid or lower gap_tol"
+            )
+        feasible_end = lo
     for end in range(feasible_end, start - 1, -1):
-        for eps, _clear, _rank in _radius_candidates(f, start, end, gap_tol, eps_cap):
+        if end < feasible_end:
+            found = _radius_candidates(f, start, end, gap_tol, eps_cap)
+        for eps, _clear, _rank in found:
             if _band_break(f, start, end, eps) is None:
                 return end, float(eps)
     raise AtlasBuildError(
@@ -214,9 +244,14 @@ def build_atlas(f: OperatorFamily, max_chart_len: int = DEFAULT_MAX_CHART_LEN,
     Each chart is extended rightward while some radius keeps clearing the
     pooled spectrum with a constant band rank; the radius finally chosen is
     the midpoint of the widest surviving gap (ties broken toward the smaller
-    radius). The next chart starts at the previous chart's last sample, so
-    consecutive charts overlap in exactly one sample. An eps_cap bounds
-    every chart radius from above, at the cost of shorter charts.
+    radius). Since a longer range only splits gaps and adds rank
+    constraints, the ends that keep a radius form a prefix, and its end is
+    found by one radius search at the chart-length limit, or by bisection
+    when that search comes up empty (exact up to rounding of clearances
+    within an ulp of gap_tol). The next chart starts at the previous
+    chart's last sample, so consecutive charts overlap in exactly one
+    sample. An eps_cap bounds every chart radius from above, at the cost of
+    shorter charts.
     """
     if max_chart_len < 2:
         raise ValidationError("max_chart_len must be at least 2")
@@ -238,7 +273,18 @@ def build_atlas(f: OperatorFamily, max_chart_len: int = DEFAULT_MAX_CHART_LEN,
 
 
 def check_atlas(f: OperatorFamily, atlas: Atlas, gap_tol: float = DEFAULT_GAP_TOL):
-    """Full-grid coverage plus is_adapted on every chart; returns (ok, report)."""
+    """Full-grid coverage plus is_adapted on every chart; returns (ok, report).
+
+    The verdict is kept on the family per (atlas, gap_tol), so an atlas
+    checked once is not band-walked again; a check that raises is not kept.
+    """
+    key = (atlas, gap_tol)
+    if key not in f._atlas_checks:
+        f._atlas_checks[key] = _check_atlas(f, atlas, gap_tol)
+    return f._atlas_checks[key]
+
+
+def _check_atlas(f: OperatorFamily, atlas: Atlas, gap_tol: float):
     lo, hi = atlas.covered_range()
     if lo != 0 or hi != f.n_samples - 1:
         return False, f"atlas covers samples [{lo}, {hi}] of [0, {f.n_samples - 1}]"

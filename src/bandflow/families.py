@@ -110,6 +110,8 @@ class OperatorFamily:
     polarized_bands: tuple | None = None
     scale: float | None = None
     _eig_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # check_atlas verdicts, keyed by (atlas, gap_tol)
+    _atlas_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _plane: tuple | None = field(default=None, init=False, repr=False, compare=False)
 

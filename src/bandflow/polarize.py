@@ -18,9 +18,10 @@ from .atlas import (
     DEFAULT_GAP_TOL,
     DEFAULT_MAX_CHART_LEN,
     Atlas,
-    _radius_candidates,
+    _round_sig,
     build_atlas,
     check_atlas,
+    gap_table,
 )
 from .errors import AtlasBuildError, ValidationError
 from .families import OperatorFamily
@@ -89,13 +90,26 @@ class PolarizedReplacement:
     band_report: dict = field(default_factory=dict)
 
 
-def _admissible_band_levels(g: OperatorFamily, x: int, cap: float,
-                            gap_tol: float) -> list:
-    """Window levels under cap clearing the sample's absolute spectrum."""
-    if cap <= gap_tol:
-        return []
-    return [eps for eps, _clear, _rank in
-            _radius_candidates(g, x, x, gap_tol, eps_cap=cap)]
+def _admissible_band_levels(g: OperatorFamily, caps: np.ndarray, gap_tol: float) -> list:
+    """Per sample, the window levels under its cap that clear its absolute
+    spectrum by gap_tol, best first.
+
+    Row x gives the radii _radius_candidates(g, x, x, gap_tol, eps_cap=caps[x])
+    would: midpoints of the capped gaps of [0 | |lam(x)|], ordered by
+    clearance rounded to 12 significant digits, descending, then by level.
+    Duplicate eigenvalues leave zero-width gaps, which the clipping drops.
+    A sample whose cap is at most gap_tol gets no levels: its clearances are
+    at most cap / 2.
+    """
+    edges = np.concatenate((np.zeros((g.n_samples, 1)), g.abs_eigenvalues), axis=1)
+    keep, mids, clear = gap_table(edges, cap=caps[:, None])
+    keep &= (clear >= gap_tol) & (mids > 0)
+    out = []
+    for row, m, h in zip(keep, mids, clear):
+        ranked = sorted(zip(m[row].tolist(), h[row].tolist()),
+                        key=lambda c: (-_round_sig(c[1]), c[0]))
+        out.append([eps for eps, _clear in ranked])
+    return out
 
 
 def _window_projectors(F: np.ndarray) -> np.ndarray:
@@ -124,8 +138,9 @@ def band_identity_check(g: OperatorFamily, replaced: OperatorFamily,
     """
     xs, levels = [], []
     skipped = 0
-    for x in range(g.n_samples):
-        found = _admissible_band_levels(g, x, float(radius[x]) / 2.0 - gap_tol, gap_tol)
+    per_sample = _admissible_band_levels(g, np.asarray(radius, dtype=float) / 2.0 - gap_tol,
+                                         gap_tol)
+    for x, found in enumerate(per_sample):
         skipped += not found
         xs += [x] * len(found)
         levels += found

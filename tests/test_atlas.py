@@ -1,9 +1,12 @@
 """Chart adaptedness, greedy atlas construction, covering combinatorics."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandflow import (
     AdaptedChart,
@@ -12,16 +15,29 @@ from bandflow import (
     ModelViolationError,
     OperatorFamily,
     ParameterGrid,
+    SpectralBoundaryError,
     ValidationError,
+    band_identity_check,
     build_atlas,
     check_atlas,
     cover_category,
     eps_for_subset,
+    finite_polarized_replace,
     generate,
     is_adapted,
     strictly_adapted_check,
 )
-from bandflow.atlas import _radius_candidates, gap_midpoints
+from bandflow import atlas as atlas_module
+from bandflow import polarize as polarize_module
+from bandflow.atlas import (
+    DEFAULT_MAX_CHART_LEN,
+    _band_break,
+    _grow_chart,
+    _radius_candidates,
+    gap_midpoints,
+)
+from bandflow.errors import BandflowError
+from bandflow.polarize import _admissible_band_levels
 
 
 def diag_path(*diagonals):
@@ -488,3 +504,168 @@ def test_is_adapted_first_violation_matches_per_sample_loop(f):
             assert not ok and report == expected
         seen.add(None if expected is None else expected.split()[0])
     assert len(seen) >= 2
+
+
+def test_check_atlas_keeps_verdicts_not_errors(monkeypatch):
+    walked = []
+    adapted = atlas_module.is_adapted
+
+    def counted(f, chart, gap_tol):
+        walked.append(chart)
+        return adapted(f, chart, gap_tol)
+
+    monkeypatch.setattr(atlas_module, "is_adapted", counted)
+    f = generate("crossing")
+    atlas = build_atlas(f)
+    verdict = check_atlas(f, atlas)
+    assert verdict == (True, "valid atlas") and len(walked) == atlas.n_charts
+    assert check_atlas(f, Atlas(atlas.charts)) == verdict
+    assert len(walked) == atlas.n_charts
+    check_atlas(f, atlas, 1e-3)
+    check_atlas(generate("crossing"), atlas)
+    assert len(walked) == 3 * atlas.n_charts
+    # a check that raises is run again, and raises again
+    on_level = diag_path((0.5, 1.0), (0.5, 1.0))
+    one_chart = Atlas((AdaptedChart(0, 1, 0.5),))
+    for _ in range(2):
+        with pytest.raises(SpectralBoundaryError):
+            check_atlas(on_level, one_chart, 0.0)
+    assert len(walked) == 3 * atlas.n_charts + 2
+
+
+# ---------------------------------------------------------------- chart growth
+
+
+def scan_grow_chart(f, start, max_chart_len, gap_tol, eps_cap=None):
+    """_grow_chart as a forward scan: one radius search per extension."""
+    hard_end = min(f.n_samples - 1, start + max_chart_len - 1)
+    feasible_end = None
+    j = start
+    while j <= hard_end:
+        if not _radius_candidates(f, start, j, gap_tol, eps_cap):
+            break
+        feasible_end = j
+        j += 1
+    if feasible_end is None:
+        raise AtlasBuildError(
+            f"no admissible gap radius at sample {start}; "
+            f"refine the grid or lower gap_tol"
+        )
+    for end in range(feasible_end, start - 1, -1):
+        for eps, _clear, _rank in _radius_candidates(f, start, end, gap_tol, eps_cap):
+            if _band_break(f, start, end, eps) is None:
+                return end, float(eps)
+    raise AtlasBuildError(
+        f"band continuity fails for every admissible radius starting "
+        f"at sample {start}; refine the grid"
+    )
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except BandflowError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def nudge(x, steps):
+    """x moved by |steps| ulps, up for positive steps."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def near_degenerate_families(draw):
+    """Diagonal paths whose branches share magnitudes: |lam| ties, +-lam pairs,
+    ulp neighbours, zeros, and drifts that cross one another and zero, some
+    of them through zero at a sample, where every chart must end."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 45))
+    mags = draw(st.lists(st.sampled_from([0.0, 0.01, 0.04, 0.1, 0.25, 0.5])
+                         | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    t = np.linspace(0.0, 1.0, n)
+    columns = []
+    for _ in range(dim):
+        slope = draw(st.sampled_from([0.0, 0.0, 0.02, -0.1, 0.6, -1.5]))
+        zero_at = draw(st.none() | st.integers(0, n - 1))
+        if zero_at is None:
+            start = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from(mags))
+        else:
+            start = -slope * t[zero_at]
+        ulps = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        columns.append([nudge(float(start + slope * s), u) for s, u in zip(t, ulps)])
+    return diag_path(*np.array(columns).T)
+
+
+GROW_SETTINGS = st.tuples(
+    st.integers(2, 40),
+    st.sampled_from([1e-6, 1e-3, 0.02]),
+    st.sampled_from([None, 0.05, 0.3]) | st.floats(0.005, 1.0),
+)
+
+
+@settings(max_examples=150)
+@given(near_degenerate_families(), GROW_SETTINGS)
+def test_grow_chart_matches_forward_scan(f, grow):
+    max_chart_len, gap_tol, eps_cap = grow
+    for start in range(f.n_samples):
+        assert (outcome(_grow_chart, f, start, max_chart_len, gap_tol, eps_cap)
+                == outcome(scan_grow_chart, f, start, max_chart_len, gap_tol, eps_cap))
+    built = outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
+    with mock.patch.object(atlas_module, "_grow_chart", scan_grow_chart):
+        assert built == outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
+
+
+@pytest.mark.parametrize("f", TABLE_FAMILIES, ids=lambda f: f"dim{f.dim}x{f.n_samples}")
+@pytest.mark.parametrize("max_chart_len,gap_tol,eps_cap", [
+    (2, 1e-6, None), (7, 1e-3, None), (40, 1e-6, None), (40, 1e-6, 0.05), (13, 0.02, 0.3),
+])
+def test_build_atlas_matches_forward_scan(f, max_chart_len, gap_tol, eps_cap):
+    built = outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
+    with mock.patch.object(atlas_module, "_grow_chart", scan_grow_chart):
+        assert built == outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
+
+
+@settings(max_examples=100)
+@given(near_degenerate_families(), st.sampled_from([1e-6, 1e-3, 0.02]),
+       st.lists(st.floats(-0.1, 0.6), min_size=45, max_size=45))
+def test_admissible_band_levels_match_single_sample_candidates(g, gap_tol, caps):
+    caps = np.array(caps[:g.n_samples])
+    for x, levels in enumerate(_admissible_band_levels(g, caps, gap_tol)):
+        cap = float(caps[x])
+        expected = [] if cap <= gap_tol else [
+            eps for eps, _clear, _rank in _radius_candidates(g, x, x, gap_tol, eps_cap=cap)]
+        assert levels == expected
+
+
+@pytest.mark.parametrize("eps_cap", [None, 0.3])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_one_radius_search_per_chart(monkeypatch, dim, eps_cap):
+    f = generate("random_smooth", dim=dim, seed=dim, samples=200)
+    calls = []
+    search = atlas_module._radius_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(atlas_module, "_radius_candidates", counted)
+    atlas = build_atlas(f, eps_cap=eps_cap)
+    # every chart runs to its length limit or to the last sample ...
+    assert all(c.end == min(f.n_samples - 1, c.start + DEFAULT_MAX_CHART_LEN - 1)
+               for c in atlas.charts)
+    # ... so each is found by one search over its whole range
+    assert calls == [(c.start, c.end) for c in atlas.charts]
+
+
+def test_band_identity_check_makes_no_radius_search(monkeypatch):
+    rep = finite_polarized_replace(generate("random_smooth", dim=4, seed=1, samples=200))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("band_identity_check ran a radius search")
+
+    monkeypatch.setattr(atlas_module, "_radius_candidates", forbidden)
+    monkeypatch.setattr(polarize_module, "_radius_candidates", forbidden, raising=False)
+    assert band_identity_check(rep.scaled_input, rep.family, rep.radius)["levels_checked"] > 0

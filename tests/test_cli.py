@@ -358,6 +358,17 @@ def test_malformed_section_file_is_a_spec_error(tmp_path, capsys, section, field
     assert capsys.readouterr().err.startswith(f"spec error: {field}:")
 
 
+def test_section_file_frames_must_be_orthonormal(tmp_path, capsys):
+    section_path = tmp_path / "section.json"
+    section_path.write_text(json.dumps(_section_with({"columns": [[{"re": 2.0}, {"re": 0.0}]]})))
+    spec = write_spec(tmp_path, _sampled_spec())
+    code = main(["section", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                 "--section-file", str(section_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "spec error: section.subspaces[1]: subspace frame is not orthonormal")
+
+
 def test_section_file_entries_keep_signed_zeros_and_integers(tmp_path):
     column = [{"re": -0.0, "im": 1}, {"re": 0, "im": -0.0}]
     f, _ = load_family_spec(write_spec(tmp_path, _sampled_spec()))

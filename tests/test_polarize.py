@@ -25,7 +25,8 @@ from bandflow import (
     subspace_distance,
     window_subspace,
 )
-from bandflow.polarize import BAND_IDENTITY_TOL, _admissible_band_levels
+from bandflow.atlas import _radius_candidates
+from bandflow.polarize import BAND_IDENTITY_TOL
 
 
 def constant_family(diagonal, samples=3):
@@ -238,7 +239,9 @@ def _band_identity_loop(g, replaced, radius, gap_tol=1e-6):
     """Sample-by-sample form of band_identity_check, the reference."""
     worst, checked, skipped = 0.0, 0, 0
     for x in range(g.n_samples):
-        levels = _admissible_band_levels(g, x, float(radius[x]) / 2.0 - gap_tol, gap_tol)
+        cap = float(radius[x]) / 2.0 - gap_tol
+        levels = [] if cap <= gap_tol else [
+            eps for eps, _clear, _rank in _radius_candidates(g, x, x, gap_tol, eps_cap=cap)]
         skipped += not levels
         for eps in levels:
             d = subspace_distance(window_subspace(g, x, eps, np.inf),
