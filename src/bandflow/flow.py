@@ -60,6 +60,25 @@ class EnhancedOperator:
     interior_rank: int
 
 
+def band_gap_error(lam: np.ndarray, eps: float, gap_tol: float):
+    """First row of an eigenvalue table at which +-eps fails to clear the spectrum.
+
+    lam is (N, n). Returns (row, SpectralBoundaryError naming the eigenvalue
+    of that row closest to +-eps) for the first row holding an eigenvalue
+    within gap_tol of +-eps, or None when every row clears it.
+    """
+    dist = np.abs(np.abs(lam) - eps)
+    j = np.argmin(dist, axis=1)
+    dj = dist[np.arange(lam.shape[0]), j]
+    hit = np.flatnonzero(dj < gap_tol)
+    if not hit.size:
+        return None
+    x = int(hit[0])
+    return x, SpectralBoundaryError(
+        f"eigenvalue {lam[x, j[x]]:.12g} lies within {gap_tol:.1e} of +-{eps:.12g}"
+    )
+
+
 def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
                    gap_tol: float = DEFAULT_GAP_TOL) -> EnhancedOperator:
     """Validate that +-eps clear the spectrum and build the band subspace.
@@ -76,12 +95,9 @@ def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
         )
     dec = hermitian_eig(A)
     lam = dec.eigenvalues
-    dist = np.abs(np.abs(lam) - eps)
-    j = int(np.argmin(dist))
-    if dist[j] < gap_tol:
-        raise SpectralBoundaryError(
-            f"eigenvalue {lam[j]:.12g} lies within {gap_tol:.1e} of +-{eps:.12g}"
-        )
+    hit = band_gap_error(lam[None], eps, gap_tol)
+    if hit is not None:
+        raise hit[1]
     mask = np.abs(lam) < eps
     band = Subspace(A.shape[0], dec.frame[:, mask])
     if declared_bands is not None:

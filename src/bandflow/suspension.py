@@ -12,8 +12,12 @@ so no operator grid is stored: SuspensionFamily.operator builds B(t) on
 demand. Equatorial kernel samples come from the closed-form smallest
 singular value sqrt(cos^2 t + min lam^2 sin^2 t), and the index is the
 signed zero-crossing count of the base's sorted branches, since the equator
-slice -i B(pi/2) is A itself. suspension_spectrum_check still forms
-|B(t)|^2 explicitly at every angle it is given.
+slice -i B(pi/2) is A itself.
+
+suspension_spectrum_check, band_correspondence_check and spectrum_surface
+still form |B(t)|^2 explicitly, with one stacked Gram solve per angle over
+every operator they are given. The base spectrum, and the base band, come
+from the family's spectral plane; a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from typing import Optional
 
 import numpy as np
 
+from .atlas import DEFAULT_GAP_TOL
 from .errors import ModelViolationError, ValidationError
 from .families import OperatorFamily
-from .flow import enhanced_check, net_up_crossings
-from .linalg import absolute_value, hermitian_eig, spectral_projection, subspace_distance
+from .flow import band_gap_error, net_up_crossings
+from .linalg import as_hermitian, hermitian_eig_stack, window_boundary_error
 
 SPECTRUM_IDENTITY_TOL = 1e-9
 BAND_MATCH_TOL = 1e-8
@@ -40,10 +45,40 @@ def _suspension_operator(A: np.ndarray, t: float) -> np.ndarray:
     return np.cos(t) * np.eye(n, dtype=np.complex128) + 1j * np.sin(t) * A
 
 
-def _gram_spectrum(B: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the explicitly formed |B|^2 = B* B."""
-    gram = B.conj().T @ B
-    return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+def _suspension_grams(stack: np.ndarray, ts: list):
+    """Yield (t, G) for each angle t: G holds |B(t)|^2 = B* B, symmetrized,
+    for every operator of the (N, n, n) stack at once.
+
+    B is built exactly as _suspension_operator builds it, so each Gram
+    matrix is bitwise the one formed matrix by matrix. G is a buffer that
+    the next angle overwrites.
+    """
+    eye = np.eye(stack.shape[-1], dtype=np.complex128)
+    B = np.empty_like(stack)
+    C = np.empty_like(stack)
+    G = np.empty_like(stack)
+    for tk in ts:
+        np.multiply(1j * np.sin(tk), stack, out=B)
+        np.add(np.cos(tk) * eye, B, out=B)
+        np.conjugate(B, out=C)
+        np.matmul(C.transpose(0, 2, 1), B, out=G)
+        np.conjugate(G.transpose(0, 2, 1), out=C)
+        np.add(G, C, out=G)
+        np.multiply(0.5, G, out=G)
+        yield tk, G
+
+
+def _base_plane(A) -> tuple:
+    """(operator stack, eigenvalue table, frames) of a family's plane, or of
+    one Hermitian matrix as a stack of one."""
+    if isinstance(A, OperatorFamily):
+        return A.operator_stack, A.eigenvalues, A.frames
+    H = as_hermitian(A)[None]
+    return (H,) + hermitian_eig_stack(H)
+
+
+def _angles(t) -> list:
+    return np.atleast_1d(np.asarray(t, dtype=float)).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,51 +135,95 @@ def suspend(f: OperatorFamily, t_count: int = 41) -> SuspensionFamily:
     return SuspensionFamily(base=f, t_samples=t)
 
 
-def suspension_spectrum_check(A: np.ndarray, t):
+def spectrum_identity_tolerance(lam: np.ndarray, t) -> np.ndarray:
+    """(N, T) tolerances of the spectrum identity over angles t.
+
+    lam is an (N, n) eigenvalue table; the cell of sample x and angle tk
+    is SPECTRUM_IDENTITY_TOL times max(1, largest closed-form value
+    cos^2 tk + lam^2 sin^2 tk).
+    """
+    lam2 = (lam**2).max(axis=1)
+    top = np.stack([np.cos(tk) ** 2 + lam2 * np.sin(tk) ** 2 for tk in _angles(t)], axis=1)
+    return SPECTRUM_IDENTITY_TOL * np.maximum(1.0, top)
+
+
+def suspension_spectrum_check(A, t):
     """Verify |B(t)|^2 has spectrum {cos^2 t + lam^2 sin^2 t} over lam in spec(A).
 
-    t may be one angle or an array of angles; A is solved once either way.
-    Returns the max absolute deviation between the two sorted spectra, a
-    float for a scalar angle and an array otherwise, and raises if it
-    exceeds the identity tolerance.
+    A is an OperatorFamily, whose eigenvalues come from its spectral plane,
+    or one Hermitian matrix. t may be one angle or an array of angles. The
+    Gram matrices of all operators are solved with one eigvalsh per angle.
+    Returns the max absolute deviation between the two sorted spectra: an
+    (N, T) table for a family, (T,) for a matrix, with the angle axis
+    dropped for a scalar angle. Raises at the first (sample, angle) whose
+    deviation exceeds spectrum_identity_tolerance.
     """
-    scalar = np.isscalar(t)
-    lam = hermitian_eig(A).eigenvalues
-    A = np.asarray(A, dtype=np.complex128)
-    devs = []
-    for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
-        left = np.sort(_gram_spectrum(_suspension_operator(A, tk)))
-        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2)
-        dev = float(np.abs(left - right).max())
-        if dev > SPECTRUM_IDENTITY_TOL * max(1.0, float(right.max())):
-            raise ModelViolationError(
-                f"suspension spectrum identity violated at t={tk}: deviation {dev:.3e}"
-            )
-        devs.append(dev)
-    return devs[0] if scalar else np.array(devs)
+    stack, lam, _ = _base_plane(A)
+    ts = _angles(t)
+    dev = np.empty((len(stack), len(ts)))
+    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
+        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2, axis=1)
+        dev[:, k] = np.abs(np.linalg.eigvalsh(G) - right).max(axis=1)
+    bad = dev > spectrum_identity_tolerance(lam, ts)
+    if bad.any():
+        x, k = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ModelViolationError(
+            f"suspension spectrum identity violated at t={ts[k]}: "
+            f"deviation {float(dev[x, k]):.3e}"
+        )
+    if np.isscalar(t):
+        dev = dev[:, 0]
+    if not isinstance(A, OperatorFamily):
+        return float(dev[0]) if np.isscalar(t) else dev[0]
+    return dev
 
 
-def band_correspondence_check(A: np.ndarray, eps: float, t):
+def band_correspondence_check(A, eps: float, t, samples=None):
     """Low band of |B(t)| below delta(t) matches the band of |A| below eps.
 
     delta(t) = sqrt(cos^2 t + eps^2 sin^2 t). Requires sin t away from 0 and
-    (A, eps) forming an enhanced pair. t may be one angle or an array of
-    angles; A is solved once either way. Returns a bool for a scalar angle
-    and a bool array otherwise.
+    +-eps clearing the spectrum of A by the default gap tolerance. A is an
+    OperatorFamily, checked at the given sample indices (all by default)
+    with its band read from the spectral plane, or one Hermitian matrix.
+    The low band of |B| comes from one stacked eigh of the Gram matrices
+    per angle, and the distances between bands from one stacked eigvalsh.
+    Returns an (M, T) bool table for a family, (T,) for a matrix, with the
+    angle axis dropped for a scalar angle (a bool for a matrix). Errors
+    arise in the order of a sample-by-sample walk: at each sample the base
+    gap first, then a window edge on an eigenvalue of |B| angle by angle.
     """
-    scalar = np.isscalar(t)
-    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    ts = _angles(t)
     if np.any(np.abs(np.sin(ts)) < 1e-9):
         raise ValidationError("band correspondence needs sin t bounded away from 0")
-    A = np.asarray(A, dtype=np.complex128)
-    low_base = enhanced_check(A, eps).band
-    oks = []
-    for tk in ts:
+    if not eps > 0:
+        raise ValidationError(f"band radius must be positive, got {eps}")
+    stack, lam, F = _base_plane(A)
+    if samples is not None:
+        rows = np.asarray(samples, dtype=int)
+        stack, lam, F = stack[rows], lam[rows], F[rows]
+    first = band_gap_error(lam, eps, DEFAULT_GAP_TOL)
+    inside = np.abs(lam) < eps
+    P_base = np.where(inside[:, None, :], F, 0.0) @ F.conj().transpose(0, 2, 1)
+    dims = inside.sum(axis=1)
+    oks = np.empty((len(stack), len(ts)), dtype=bool)
+    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
         delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
-        low_susp = spectral_projection(absolute_value(_suspension_operator(A, tk)), -1.0, delta)
-        oks.append(low_susp.dim == low_base.dim
-                   and subspace_distance(low_susp, low_base) <= BAND_MATCH_TOL)
-    return oks[0] if scalar else np.array(oks)
+        mu, W = np.linalg.eigh(G)
+        abs_b = np.sqrt(np.clip(mu, 0.0, None))
+        hit = window_boundary_error(abs_b, -1.0, delta)
+        if hit is not None and (first is None or hit[0] < first[0]):
+            first = hit
+        low = abs_b < delta
+        P = np.where(low[:, None, :], W, 0.0) @ W.conj().transpose(0, 2, 1)
+        dist = np.abs(np.linalg.eigvalsh(P - P_base)).max(axis=1)
+        oks[:, k] = (low.sum(axis=1) == dims) & (dist <= BAND_MATCH_TOL)
+    if first is not None:
+        raise first[1]
+    if np.isscalar(t):
+        oks = oks[:, 0]
+    if not isinstance(A, OperatorFamily):
+        return bool(oks[0]) if np.isscalar(t) else oks[0]
+    return oks
 
 
 def zero_band_check(A: np.ndarray, delta: float, t: float) -> bool:
@@ -237,8 +316,8 @@ def spectrum_surface(sf: SuspensionFamily) -> np.ndarray:
     Returns an array of shape (n_parameters, n_angles, dim), eigenvalues
     ascending in the last axis.
     """
-    out = np.zeros((sf.n_parameters, sf.n_angles, sf.base.dim))
-    for x in range(sf.n_parameters):
-        for k in range(sf.n_angles):
-            out[x, k] = _gram_spectrum(sf.operator(x, k))
+    out = np.empty((sf.n_parameters, sf.n_angles, sf.base.dim))
+    grams = _suspension_grams(sf.base.operator_stack, sf.t_samples.tolist())
+    for k, (_, G) in enumerate(grams):
+        out[:, k] = np.linalg.eigvalsh(G)
     return out

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bandflow import generate, make_weak_section
+import bandflow.linalg
+from bandflow import generate, make_weak_section, suspension
 from bandflow.cli import _encode, _load_section_file, _write_json, load_family_spec, main
 
 
@@ -181,6 +183,79 @@ def test_suspend_crossing(tmp_path):
     assert len(lines) == 52
     residuals = [float(line.split(",")[2]) for line in lines[1:]]
     assert max(residuals) <= 1e-8
+
+
+def _conjugated_open_path(c):
+    """21 samples of Q diag(s - 0.5, 1.5 c, -2 c) Q* for a fixed unitary Q."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    t = np.linspace(0.0, 1.0, 21)
+    ops = [Q @ np.diag([s - 0.5, 1.5 * c, -2.0 * c]) @ Q.conj().T for s in t]
+    grid = {"closure": "open_path", "kind": "interval_path", "samples": t.tolist()}
+    matrices = {"real": [o.real.tolist() for o in ops], "imag": [o.imag.tolist() for o in ops]}
+    return {"sampled": {"dim": 3, "grid": grid, "matrices": matrices}}
+
+
+def test_suspend_spectrum_identity_bound_scales_with_the_spectrum(tmp_path):
+    # lam^2 reaches 4e8; a deviation of 4e-7 is roundoff, within 1e-9 * 4e8
+    code, out = run(tmp_path, _conjugated_open_path(1e4), ["suspend"])
+    assert code == 0
+    check = read_report(out, "suspend_report.json")["invariant_checks"][0]
+    assert check["name"] == "spectrum_identity_max_residual"
+    assert check["passed"] is True
+    assert 1e-8 < check["value"] < 1e-9 * 4e8
+
+
+def test_suspend_fails_on_a_corrupted_gram(tmp_path, monkeypatch, capsys):
+    grams = suspension._suspension_grams
+
+    def corrupted(stack, ts):
+        for tk, G in grams(stack, ts):
+            G[:, 0, 0] += 1e-6
+            yield tk, G
+
+    monkeypatch.setattr(suspension, "_suspension_grams", corrupted)
+    code, _ = run(tmp_path, _conjugated_open_path(1.0), ["suspend"])
+    assert code == 1
+    assert "ModelViolationError: suspension spectrum identity violated" in capsys.readouterr().err
+
+
+def _count_eigensolves(monkeypatch):
+    """Count numpy's eigvalsh and eigh, and linalg.hermitian_eig at every binding."""
+    counts = {"eigvalsh": 0, "eigh": 0, "hermitian_eig": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    original = bandflow.linalg.hermitian_eig
+    wrapped = counting("hermitian_eig", original)
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "bandflow" and vars(mod).get("hermitian_eig") is original:
+            monkeypatch.setattr(mod, "hermitian_eig", wrapped)
+    return counts
+
+
+def test_suspend_eigensolve_count_does_not_grow_with_samples(tmp_path, monkeypatch):
+    # the atlas walks each chart's band with one eigvalsh, so one chart at
+    # both sizes keeps its share fixed; the suspension's share is per angle
+    seen = []
+    for samples in (60, 120):
+        spec = {"generator": "random_smooth",
+                "params": {"dim": 3, "loop": True, "samples": samples, "seed": 4}}
+        (tmp_path / str(samples)).mkdir()
+        with monkeypatch.context() as m:
+            counts = _count_eigensolves(m)
+            code, _ = run(tmp_path / str(samples), spec,
+                          ["suspend", "--t-samples", "21", "--max-chart-len", "120"])
+        assert code == 0
+        seen.append(counts)
+    assert seen[0] == seen[1]
+    assert seen[0]["hermitian_eig"] == 0
 
 
 # ---------------------------------------------------------------- section

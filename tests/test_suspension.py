@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bandflow import (
     ModelViolationError,
     OperatorFamily,
     ParameterGrid,
+    SpectralBoundaryError,
     Subspace,
     SuspensionFamily,
     ValidationError,
     absolute_value,
     band_correspondence_check,
     build_atlas,
+    enhanced_check,
     generate,
+    hermitian_eig,
     index_chain,
     spectral_flow_chartwise,
     spectral_projection,
@@ -24,15 +30,91 @@ from bandflow import (
     suspension_spectrum_check,
     zero_band_check,
 )
+from bandflow import suspension
+from bandflow.suspension import BAND_MATCH_TOL, _suspension_operator
 
 from conftest import random_hermitian
 
 
+def family_of(stack):
+    """Open-path family over the rows of an (N, n, n) stack, N >= 2."""
+    grid = ParameterGrid(kind="interval_path", samples=np.linspace(0.0, 1.0, len(stack)),
+                         closure="open_path")
+    return OperatorFamily(grid=grid, dim=stack.shape[-1], operators=tuple(stack))
+
+
 def constant_base(matrix, samples=2):
-    t = np.linspace(0.0, 1.0, samples)
-    grid = ParameterGrid(kind="interval_path", samples=t, closure="open_path")
     M = np.asarray(matrix, dtype=np.complex128)
-    return OperatorFamily(grid=grid, dim=M.shape[0], operators=(M,) * samples)
+    return family_of(np.repeat(M[None], samples, axis=0))
+
+
+# References: the checks as they ran before they were stacked, one matrix
+# and one angle at a time, each solving its base operator again.
+
+
+def _gram_spectrum(B):
+    gram = B.conj().T @ B
+    return np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+
+
+def reference_spectrum_check(A, t):
+    scalar = np.isscalar(t)
+    lam = hermitian_eig(A).eigenvalues
+    A = np.asarray(A, dtype=np.complex128)
+    devs = []
+    for tk in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        left = np.sort(_gram_spectrum(_suspension_operator(A, tk)))
+        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2)
+        dev = float(np.abs(left - right).max())
+        if dev > suspension.SPECTRUM_IDENTITY_TOL * max(1.0, float(right.max())):
+            raise ModelViolationError(
+                f"suspension spectrum identity violated at t={tk}: deviation {dev:.3e}"
+            )
+        devs.append(dev)
+    return devs[0] if scalar else np.array(devs)
+
+
+def reference_band_check(A, eps, t):
+    scalar = np.isscalar(t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    if np.any(np.abs(np.sin(ts)) < 1e-9):
+        raise ValidationError("band correspondence needs sin t bounded away from 0")
+    A = np.asarray(A, dtype=np.complex128)
+    low_base = enhanced_check(A, eps).band
+    oks = []
+    for tk in ts:
+        delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
+        low_susp = spectral_projection(absolute_value(_suspension_operator(A, tk)), -1.0, delta)
+        oks.append(low_susp.dim == low_base.dim
+                   and subspace_distance(low_susp, low_base) <= BAND_MATCH_TOL)
+    return oks[0] if scalar else np.array(oks)
+
+
+def reference_surface(sf):
+    out = np.zeros((sf.n_parameters, sf.n_angles, sf.base.dim))
+    for x in range(sf.n_parameters):
+        for k in range(sf.n_angles):
+            out[x, k] = _gram_spectrum(sf.operator(x, k))
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(new, old):
+    """Equal tables, or the same error type and message."""
+    assert type(new) is type(old)
+    assert new == old if isinstance(old, tuple) else np.array_equal(new, old)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ---------------------------------------------------------------- suspend
@@ -128,6 +210,118 @@ def test_spectrum_identity_random_sweep(rng):
     assert np.array_equal(devs, [suspension_spectrum_check(A, float(t)) for t in angles])
 
 
+def test_spectrum_check_family_table(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(6)])
+    f = family_of(stack)
+    angles = np.linspace(0.0, np.pi, 9)
+    table = suspension_spectrum_check(f, angles)
+    assert table.shape == (6, 9)
+    assert table.max() <= 1e-9
+    # a scalar angle drops the angle axis; a matrix is the one-row case
+    assert same_bits(suspension_spectrum_check(f, 0.7), suspension_spectrum_check(f, [0.7])[:, 0])
+    assert same_bits(suspension_spectrum_check(stack[2], angles), table[2])
+    assert suspension_spectrum_check(stack[2], float(angles[3])) == table[2, 3]
+
+
+def test_spectrum_identity_tolerance_scales_with_the_closed_form():
+    lam = np.array([[0.5, 2.0], [-1e4, 3.0]])
+    tol = suspension.spectrum_identity_tolerance(lam, [0.0, np.pi / 2])
+    floor = suspension.SPECTRUM_IDENTITY_TOL
+    # never below the absolute floor
+    assert tol.tolist() == [[floor, floor * 4.0], [floor, floor * 1e8]]
+
+
+@given(
+    stack=st.integers(1, 8).flatmap(lambda n: st.integers(1, 30).flatmap(
+        lambda N: hnp.arrays(np.float64, (N, n, n, 2),
+                             elements=st.floats(-10.0, 10.0, allow_subnormal=False)))),
+    t_count=st.integers(1, 20).map(lambda h: 2 * h + 1),
+    eps=st.floats(0.05, 3.0),
+)
+def test_stacked_checks_match_per_matrix_loops(stack, t_count, eps):
+    X = stack[..., 0] + 1j * stack[..., 1]
+    H = 0.5 * (X + X.conj().transpose(0, 2, 1))
+    t = np.linspace(0.0, np.pi, t_count)
+    t[(t_count - 1) // 2] = np.pi / 2
+    if len(H) == 1:
+        A = H[0]
+        assert same_bits(suspension_spectrum_check(A, t), reference_spectrum_check(A, t))
+        assert_same_outcome(outcome(band_correspondence_check, A, eps, t[1:-1]),
+                            outcome(reference_band_check, A, eps, t[1:-1]))
+        return
+    f = family_of(H)
+    ref = np.array([reference_spectrum_check(A, t) for A in f.operators])
+    assert same_bits(suspension_spectrum_check(f, t), ref)
+    sf = suspend(f, t_count=t_count)
+    assert same_bits(spectrum_surface(sf), reference_surface(sf))
+    rows = range(0, f.n_samples, max(1, f.n_samples // 8))
+    assert_same_outcome(
+        outcome(band_correspondence_check, f, eps, t[1:-1], samples=rows),
+        outcome(lambda: np.array([reference_band_check(f.operators[x], eps, t[1:-1])
+                                  for x in rows])))
+
+
+def test_band_check_base_gap_error_matches_the_loop(rng):
+    stack = np.array([random_hermitian(rng, 5) for _ in range(40)])
+    rows = list(range(0, 40, 5))
+    # eps on an eigenvalue of the fourth checked sample, and within the gap
+    # tolerance of one of the sixth, which must not be the one reported
+    lam = np.linalg.eigvalsh(stack[rows[3]])[2]
+    eps = float(abs(lam))
+    stack[rows[5]] = stack[rows[3]] + 3e-7 * np.sign(lam) * np.eye(5)
+    f = family_of(stack)
+    t = suspend(f, t_count=11).t_samples[1:-1]
+    new = outcome(band_correspondence_check, f, eps, t, samples=rows)
+    old = outcome(lambda: [reference_band_check(f.operators[x], eps, t) for x in rows])
+    assert new[0] is SpectralBoundaryError
+    assert new == old
+    assert outcome(band_correspondence_check, stack[rows[3]], eps, t) == \
+        outcome(reference_band_check, stack[rows[3]], eps, t)
+
+
+def test_band_check_validates_the_radius():
+    with pytest.raises(ValidationError, match="positive"):
+        band_correspondence_check(np.diag([0.5]), eps=0.0, t=1.0)
+
+
+def test_spectrum_check_first_violation_matches_the_loop(rng, monkeypatch):
+    f = family_of(np.array([random_hermitian(rng, 4) for _ in range(12)]))
+    t = suspend(f, t_count=9).t_samples
+    dev = suspension_spectrum_check(f, t)
+    tol = suspension.spectrum_identity_tolerance(f.eigenvalues, t)
+    scale = tol / suspension.SPECTRUM_IDENTITY_TOL
+    # a tolerance that a scattered tenth of the table violates: the first
+    # violation by sample differs from the first by angle
+    partial = float(np.quantile(dev / scale, 0.9))
+    over = dev > partial * scale
+    assert np.argmax(over) != np.ravel_multi_index(
+        np.unravel_index(np.argmax(over.T), over.T.shape)[::-1], over.shape)
+    for tol in (0.0, partial):
+        monkeypatch.setattr(suspension, "SPECTRUM_IDENTITY_TOL", tol)
+        new = outcome(suspension_spectrum_check, f, t)
+        old = outcome(lambda: [reference_spectrum_check(A, t) for A in f.operators])
+        assert new[0] is ModelViolationError
+        assert new == old
+
+
+def test_band_check_flags_a_rotated_band(monkeypatch):
+    # couple the band of diag(0.2, 2.0) to the level outside it in every
+    # Gram matrix: the ranks still agree, the bands do not
+    f = constant_base(np.diag([0.2, 2.0]), samples=3)
+    angles = np.linspace(0.2, np.pi - 0.2, 7)
+    assert band_correspondence_check(f, 1.0, angles).all()
+    grams = suspension._suspension_grams
+
+    def coupled(stack, ts):
+        for tk, G in grams(stack, ts):
+            G[:, 0, 1] += 1e-4
+            G[:, 1, 0] += 1e-4
+            yield tk, G
+
+    monkeypatch.setattr(suspension, "_suspension_grams", coupled)
+    assert not band_correspondence_check(f, 1.0, angles).any()
+
+
 def test_spectrum_surface_formula():
     f = generate("crossing", k=1, m=1, samples=11)
     sf = suspend(f, t_count=9)
@@ -169,6 +363,11 @@ def test_band_correspondence_interior_angles(rng):
     for t in angles:
         assert band_correspondence_check(A, eps=1.0, t=float(t)) is True
     assert band_correspondence_check(A, eps=1.0, t=angles).tolist() == [True] * 20
+    f = family_of(np.array([A, -A, 0.5 * A]))
+    table = band_correspondence_check(f, eps=1.0, t=angles)
+    assert table.shape == (3, 20) and table.all()
+    assert band_correspondence_check(f, eps=1.0, t=angles, samples=[2]).shape == (1, 20)
+    assert band_correspondence_check(f, eps=1.0, t=1.0).shape == (3,)
 
 
 def test_band_correspondence_needs_interior_angle():
