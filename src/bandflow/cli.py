@@ -44,10 +44,10 @@ from .sections import (
 )
 from .suspension import (
     band_correspondence_check,
+    spectrum_identity_deviation,
     spectrum_identity_tolerance,
     suspend,
     suspension_index,
-    suspension_spectrum_check,
 )
 
 EXIT_OK = 0
@@ -268,7 +268,8 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
         raise SpecError(f"{where}: {exc}") from exc
 
 
-def _parse_generator(spec: dict, seed: int | None) -> OperatorFamily:
+def _parse_generator(spec: dict, seed: int | None) -> tuple:
+    """(family, seed forwarded to the generator or None)."""
     name = spec["generator"]
     params = spec.get("params", {})
     if not isinstance(name, str):
@@ -280,17 +281,23 @@ def _parse_generator(spec: dict, seed: int | None) -> OperatorFamily:
         raise SpecError(
             f"spec.generator: unknown generator {name!r}; available: {sorted(GENERATORS)}"
         )
-    if seed is not None and "seed" not in params:
-        if "seed" in inspect.signature(GENERATORS[name]).parameters:
-            params["seed"] = seed
+    if "seed" in params or "seed" not in inspect.signature(GENERATORS[name]).parameters:
+        seed = None
+    if seed is not None:
+        params["seed"] = seed
     try:
-        return generate(name, **params)
+        return generate(name, **params), seed
     except BandflowError as exc:
         raise SpecError(f"spec.params: {exc}") from exc
 
 
 def load_family_spec(path, seed: int | None = None) -> tuple:
-    """Parse a family spec file; returns (family, raw spec bytes)."""
+    """Parse a family spec file; returns (family, raw spec bytes, seed).
+
+    The returned seed is the given one when it took effect, that is when
+    the spec names a generator that accepts a seed and its params do not
+    fix one, and None otherwise.
+    """
     p = Path(path)
     try:
         raw = p.read_bytes()
@@ -303,9 +310,10 @@ def load_family_spec(path, seed: int | None = None) -> tuple:
     if not isinstance(spec, dict):
         raise SpecError("spec: top level must be an object")
     if "generator" in spec:
-        return _parse_generator(spec, seed), raw
+        f, seed = _parse_generator(spec, seed)
+        return f, raw, seed
     if "sampled" in spec:
-        return _parse_sampled(spec["sampled"], spec), raw
+        return _parse_sampled(spec["sampled"], spec), raw, None
     raise SpecError("spec: need either 'generator' or 'sampled'")
 
 
@@ -366,8 +374,16 @@ def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
     return WeakSpectralSection(subspaces=tuple(subs), reference_cut=cut)
 
 
-def _options_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _load(args, keys) -> tuple:
+    """(family, raw spec bytes, options) of a command.
+
+    options holds the named flag values, plus seed when --seed took effect.
+    """
+    f, raw, seed = load_family_spec(args.spec, args.seed)
+    opts = {k: getattr(args, k) for k in keys}
+    if seed is not None:
+        opts["seed"] = seed
+    return f, raw, opts
 
 
 def _write_report(out: Path, command: str, raw: bytes, opts: dict, checks: list,
@@ -396,8 +412,7 @@ def _write_report(out: Path, command: str, raw: bytes, opts: dict, checks: list,
 # commands
 
 def cmd_flow(args) -> int:
-    f, raw = load_family_spec(args.spec, args.seed)
-    opts = _options_dict(args, ["eps_gap_tol", "grid_refine", "max_chart_len"])
+    f, raw, opts = _load(args, ["eps_gap_tol", "grid_refine", "max_chart_len"])
     atlas = build_atlas(f, max_chart_len=args.max_chart_len, gap_tol=args.eps_gap_tol)
     routes = spectral_flow_routes(f, atlas=atlas, refine=args.grid_refine,
                                   gap_tol=args.eps_gap_tol)
@@ -450,13 +465,12 @@ def cmd_flow(args) -> int:
 
 
 def cmd_suspend(args) -> int:
-    f, raw = load_family_spec(args.spec, args.seed)
-    opts = _options_dict(args, ["eps_gap_tol", "t_samples", "max_chart_len"])
+    f, raw, opts = _load(args, ["eps_gap_tol", "grid_refine", "t_samples", "max_chart_len"])
     sf = suspend(f, t_count=args.t_samples)
     atlas = build_atlas(f, max_chart_len=args.max_chart_len, gap_tol=args.eps_gap_tol)
     eps_ref = min(c.eps for c in atlas.charts)
     t = sf.t_samples
-    table = suspension_spectrum_check(f, t)
+    table = spectrum_identity_deviation(f, t)
     identity_ok = bool((table <= spectrum_identity_tolerance(f.eigenvalues, t)).all())
     residual = table.max(axis=0)
     band_ok = band_correspondence_check(
@@ -489,10 +503,9 @@ def cmd_suspend(args) -> int:
 
 
 def cmd_section(args) -> int:
-    f, raw = load_family_spec(args.spec, args.seed)
-    opts = _options_dict(args, ["eps_gap_tol", "max_chart_len"])
+    f, raw, opts = _load(args, ["eps_gap_tol", "max_chart_len"])
     opts["auto"] = bool(args.auto)
-    opts["section_file"] = str(args.section_file) if args.section_file else None
+    opts["section_file"] = None
     out = Path(args.out)
 
     if args.auto and f.grid.closure != "open_path":
@@ -529,6 +542,8 @@ def cmd_section(args) -> int:
     # level picked from the widest spectral gap.
     if args.section_file:
         weak = _load_section_file(args.section_file, f)
+        # the file's bytes enter inputs_digest, its path does not
+        opts["section_file"] = hashlib.sha256(Path(args.section_file).read_bytes()).hexdigest()
     else:
         levels = default_level_grid(f)
         cut = min(levels, key=lambda c: abs(c))
@@ -578,8 +593,7 @@ def cmd_section(args) -> int:
 
 
 def cmd_polarize(args) -> int:
-    f, raw = load_family_spec(args.spec, args.seed)
-    opts = _options_dict(args, ["eps_gap_tol", "max_chart_len"])
+    f, raw, opts = _load(args, ["eps_gap_tol", "max_chart_len"])
     rep = finite_polarized_replace(f, gap_tol=args.eps_gap_tol,
                                    max_chart_len=args.max_chart_len)
     preserved, flow_rep = flow_preservation_check(f, rep, gap_tol=args.eps_gap_tol,

@@ -11,6 +11,8 @@ spectral data live in one plane, built on first use by a single batched
 eigensolve over the whole stack: the (N, n) eigenvalue table, the (N, n, n)
 eigenvector frames and the row-sorted table of absolute eigenvalues. Every
 per-sample eigendecomposition, and the band-continuity walk, reads from it.
+A family derived from a solved one, such as a rescaling or a function of
+its operators, can be handed its plane in closed form instead.
 
 Built-in generators cover the standard test cases: an explicit crossing
 family with prescribed flow, a gapped rotation loop, the truncated shift
@@ -100,7 +102,9 @@ class OperatorFamily:
     the operators tuple holds views into it. The spectral plane (eigenvalue
     table, frames, row-sorted absolute eigenvalues) is computed for the
     whole stack at once, by one hermitian_eig_stack call, the first time any
-    spectral data is asked for; eigen(i) returns views into it.
+    spectral data is asked for (at construction when frozen bands are
+    declared, since they are checked against it); eigen(i) returns views
+    into it.
     """
 
     grid: ParameterGrid
@@ -140,7 +144,7 @@ class OperatorFamily:
         m_minus, m_plus = self.polarized_bands
         if m_minus < 0 or m_plus < 0 or m_minus + m_plus > self.dim:
             raise ValidationError(f"bad frozen multiplicities {self.polarized_bands}")
-        lam = np.linalg.eigvalsh(self._stack)
+        lam = self.eigenvalues
         leaves = (lam[:, 0] < -1.0 - 1e-9) | (lam[:, -1] > 1.0 + 1e-9)
         n_lo = np.sum(np.abs(lam + 1.0) <= 1e-9, axis=1)
         n_hi = np.sum(np.abs(lam - 1.0) <= 1e-9, axis=1)
@@ -155,6 +159,25 @@ class OperatorFamily:
                 f"sample {k}: found {n_lo[k]}/{n_hi[k]} eigenvalues at -1/+1, "
                 f"declared {m_minus}/{m_plus}"
             )
+
+    @classmethod
+    def _with_plane(cls, lam: np.ndarray, F: np.ndarray, polarized_bands: tuple | None = None,
+                    **fields) -> "OperatorFamily":
+        """Hermitian family whose spectral plane is known in closed form.
+
+        For a family derived from one whose plane is already solved, such as
+        a rescaling or a function of its operators: (lam, F) becomes the
+        plane in place of an eigensolve, so it must be what
+        hermitian_eig_stack would return for the operators (rows ascending,
+        frames orthonormal, residual within bound); the caller certifies
+        that. Declared frozen bands are checked against lam.
+        """
+        fam = cls(hermitian=True, **fields)
+        object.__setattr__(fam, "_plane", (lam, F, np.sort(np.abs(lam), axis=1)))
+        if polarized_bands is not None:
+            object.__setattr__(fam, "polarized_bands", polarized_bands)
+            fam._check_polarized_bands()
+        return fam
 
     def _check_closure(self):
         closure = self.grid.closure

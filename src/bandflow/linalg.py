@@ -188,13 +188,26 @@ class PartialIsometry:
         object.__setattr__(self, "matrix", U)
 
 
+def eigen_residual(As: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple:
+    """Per-sample eigen-residual of a stack and the bound it must meet.
+
+    As is (N, n, n), lam (N, n) and F (N, n, n). Returns (resid, tol), both
+    (N,): resid[x] is max|A F - F diag(lam)| at sample x, from one stacked
+    matmul, and tol[x] is RECON_TOL * (1 + max|lam[x]|).
+    """
+    R = As @ F
+    R -= F * lam[:, None, :]
+    resid = np.abs(R).max(axis=(1, 2))
+    return resid, RECON_TOL * (1.0 + np.abs(lam).max(axis=1))
+
+
 def hermitian_eig_stack(As: np.ndarray) -> tuple:
     """Eigendecompositions of a (N, n, n) stack of Hermitian matrices.
 
     One np.linalg.eigh call solves the whole stack. Each row of eigenvalues
     comes back ascending; each eigenvector's phase is fixed, in place, so
     that its first significant component is real positive. For every sample
-    the residual A F - F diag(lam) (within RECON_TOL scaled by 1 + max|lam|),
+    the residual A F - F diag(lam) (within eigen_residual's bound),
     the ascending order and the orthonormality of F (within FRAME_ORTHO_TOL)
     are asserted; a failure raises ModelViolationError naming the first bad
     sample. The inputs must already be exactly Hermitian (see as_hermitian).
@@ -204,14 +217,12 @@ def hermitian_eig_stack(As: np.ndarray) -> tuple:
     lam, F = np.linalg.eigh(As)
     _fix_phases_inplace(F)
     n = As.shape[-1]
-    R = As @ F
-    R -= F * lam[:, None, :]
-    resid = np.abs(R).max(axis=(1, 2))
+    resid, tol = eigen_residual(As, lam, F)
     G = F.conj().transpose(0, 2, 1) @ F
     G[:, np.arange(n), np.arange(n)] -= 1.0
     ortho = np.abs(G).max(axis=(1, 2))
     unsorted = np.any(np.diff(lam, axis=1) < 0, axis=1)
-    bad_resid = resid > RECON_TOL * (1.0 + np.abs(lam).max(axis=1))
+    bad_resid = resid > tol
     bad_ortho = ortho > FRAME_ORTHO_TOL
     bad = bad_resid | unsorted | bad_ortho
     if bad.any():

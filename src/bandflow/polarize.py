@@ -6,6 +6,10 @@ Applying it samplewise, with the radius varying through a partition of
 unity over an adapted atlas, turns a family with unbounded-looking ends
 into one whose spectrum fills [-1, 1] with frozen bands at the ends, while
 every band of interest and the spectral flow survive untouched.
+
+The replacement is a functional calculus of the input, so only the input is
+solved: the normalized family and the replacement share its eigenvectors and
+get their spectral planes in closed form.
 """
 
 from __future__ import annotations
@@ -14,38 +18,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atlas import (
-    DEFAULT_GAP_TOL,
-    DEFAULT_MAX_CHART_LEN,
-    Atlas,
-    _round_sig,
-    build_atlas,
-    check_atlas,
-    gap_table,
-)
-from .errors import AtlasBuildError, ValidationError
+from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas
+from .errors import AtlasBuildError, ModelViolationError, ValidationError
 from .families import OperatorFamily
 from .flow import index_chain, spectral_flow_chartwise, spectral_flow_oracle
-from .linalg import window_boundary_error
+from .linalg import eigen_residual
 from .sections import PartitionOfUnity, partition_of_unity
 
+# Largest distance allowed between the (level, inf) windows of the input and
+# the replacement below half the squash radius. band_identity_check certifies
+# the eigen-residual that makes these windows equal.
 BAND_IDENTITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
 
 
-def chi(u, r: float):
+def chi(u, r):
     """The odd squashing profile with radius r.
 
     Identity on [-r/2, r/2], affine out to +-1 at +-r, constant beyond.
-    With r = 1 it is the identity on [-1, 1]. Returns a float for scalar
-    input, an array otherwise.
+    With r = 1 it is the identity on [-1, 1]. r is a float or an array that
+    broadcasts against u, such as one radius per row of an eigenvalue
+    table. Returns a float for scalar input, an array otherwise.
     """
-    if not 0.0 < r <= 1.0:
+    radius = np.asarray(r, dtype=float)
+    if not np.all((radius > 0.0) & (radius <= 1.0)):
         raise ValidationError(f"chi radius must lie in (0, 1], got {r}")
-    scalar = np.isscalar(u)
+    scalar = np.isscalar(u) and radius.ndim == 0
     a = np.abs(np.asarray(u, dtype=float))
-    mid = (2.0 / r - 1.0) * a + r - 1.0
-    out = np.where(a <= r / 2.0, a, np.where(a < r, mid, 1.0))
+    mid = (2.0 / radius - 1.0) * a + radius - 1.0
+    out = np.where(a <= radius / 2.0, a, np.where(a < radius, mid, 1.0))
     out = np.sign(np.asarray(u, dtype=float)) * out
     return float(out) if scalar else out
 
@@ -90,94 +91,40 @@ class PolarizedReplacement:
     band_report: dict = field(default_factory=dict)
 
 
-def _admissible_band_levels(g: OperatorFamily, caps: np.ndarray, gap_tol: float) -> list:
-    """Per sample, the window levels under its cap that clear its absolute
-    spectrum by gap_tol, best first.
-
-    Row x gives the radii _radius_candidates(g, x, x, gap_tol, eps_cap=caps[x])
-    would: midpoints of the capped gaps of [0 | |lam(x)|], ordered by
-    clearance rounded to 12 significant digits, descending, then by level.
-    Duplicate eigenvalues leave zero-width gaps, which the clipping drops.
-    A sample whose cap is at most gap_tol gets no levels: its clearances are
-    at most cap / 2.
-    """
-    edges = np.concatenate((np.zeros((g.n_samples, 1)), g.abs_eigenvalues), axis=1)
-    keep, mids, clear = gap_table(edges, cap=caps[:, None])
-    keep &= (clear >= gap_tol) & (mids > 0)
-    out = []
-    for row, m, h in zip(keep, mids, clear):
-        ranked = sorted(zip(m[row].tolist(), h[row].tolist()),
-                        key=lambda c: (-_round_sig(c[1]), c[0]))
-        out.append([eps for eps, _clear in ranked])
-    return out
-
-
-def _window_projectors(F: np.ndarray) -> np.ndarray:
-    """Projectors onto the column spans of a (G, n, k) stack of frames."""
-    return F @ F.conj().transpose(0, 2, 1)
-
-
 def band_identity_check(g: OperatorFamily, replaced: OperatorFamily,
                         radius: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> dict:
-    """Windows above small levels agree between the input and the replacement.
+    """The replacement's operators are chi_r of the normalized input's.
 
-    For every sample and every admissible level under half the local squash
-    radius, the spectral windows (level, inf) of the two families are
-    compared; the squash is the identity that deep inside, so the subspaces
-    must coincide. Returns the worst distance and the number of samples
-    that offered no admissible level.
+    The replacement is the functional calculus chi_{r(x)}(g(x)) at every
+    sample, so g's frames V must diagonalize each of its operators with
+    eigenvalues chi_{r(x)}(lam_g(x)), in g's ascending order. Below half
+    the local radius chi is the identity, so every window (level, inf)
+    there is then the same subspace in both families. The identity is
+    certified on the operators as stored, which are the ones a report
+    writes out: the stacked eigen-residual max|A' V - V chi_r(Lam)| of each
+    sample must meet the rule hermitian_eig_stack applies, RECON_TOL times
+    (1 + max|chi_r(lam)|). No eigensolve runs. gap_tol is accepted for
+    callers of the earlier level-by-level form and has no effect.
 
-    All (sample, level) pairs are collected first and grouped by the ranks
-    of the two windows. Each group's projectors come from one stacked matmul
-    per family over the top frame columns, and its distances from one
-    stacked eigvalsh of their differences; these are the same gemm and
-    LAPACK calls subspace_distance makes, so every distance is bit-identical
-    to it. A window edge on an eigenvalue (input family first) or a distance
-    over BAND_IDENTITY_TOL raises at the first pair in sample, then level,
-    order.
+    Raises ModelViolationError naming the first sample over its bound.
+    Otherwise returns the number of samples checked and, at the sample
+    whose residual comes closest to its bound, the residual and the bound.
     """
-    xs, levels = [], []
-    skipped = 0
-    per_sample = _admissible_band_levels(g, np.asarray(radius, dtype=float) / 2.0 - gap_tol,
-                                         gap_tol)
-    for x, found in enumerate(per_sample):
-        skipped += not found
-        xs += [x] * len(found)
-        levels += found
-    if not levels:
-        return {"worst_distance": 0.0, "levels_checked": 0, "samples_skipped": skipped}
-    xs = np.array(xs)
-    levels = np.array(levels)
-    failures = []
-    ranks = []
-    for fam in (g, replaced):
-        lam = fam.eigenvalues[xs]
-        hit = window_boundary_error(lam, levels, np.inf)
-        if hit is not None:
-            failures.append(hit)
-        ranks.append(np.sum(lam > levels[:, None], axis=1))
-    n = g.dim
-    dist = np.empty(levels.size)
-    groups, which = np.unique(np.stack(ranks, axis=1), axis=0, return_inverse=True)
-    for i, (kg, kr) in enumerate(groups.tolist()):
-        sel = np.flatnonzero(which.ravel() == i)
-        D = (_window_projectors(g.frames[xs[sel], :, n - kg:])
-             - _window_projectors(replaced.frames[xs[sel], :, n - kr:]))
-        dist[sel] = np.abs(np.linalg.eigvalsh(D)).max(axis=1)
-    bad = np.flatnonzero(dist > BAND_IDENTITY_TOL)
+    r = np.asarray(radius, dtype=float)
+    stack = replaced.operator_stack
+    if stack.shape != g.operator_stack.shape or r.shape != (g.n_samples,):
+        raise ValidationError("input, replacement and radius disagree in shape")
+    resid, tol = eigen_residual(stack, chi(g.eigenvalues, r[:, None]), g.frames)
+    bad = np.flatnonzero(resid > tol)
     if bad.size:
-        p = int(bad[0])
-        failures.append((p, ValidationError(
-            f"band identity fails at sample {xs[p]}, level {levels[p]:.6g}: "
-            f"distance {dist[p]:.3e}"
-        )))
-    if failures:
-        raise min(failures, key=lambda hit: hit[0])[1]
-    worst = 0.0
-    for d in dist.tolist():
-        worst = max(worst, d)
-    return {"worst_distance": worst, "levels_checked": int(levels.size),
-            "samples_skipped": skipped}
+        x = int(bad[0])
+        raise ModelViolationError(
+            f"band identity fails at sample {x}: eigen-residual {resid[x]:.3e} "
+            f"exceeds {tol[x]:.3e}"
+        )
+    worst = int(np.argmax(resid / tol))
+    return {"samples_checked": int(resid.size), "tolerance": float(tol[worst]),
+            "worst_residual": float(resid[worst]), "worst_sample": worst}
 
 
 def finite_polarized_replace(f: OperatorFamily, atlas: Atlas | None = None,
@@ -192,8 +139,12 @@ def finite_polarized_replace(f: OperatorFamily, atlas: Atlas | None = None,
     r(x), and chi_{r(x)} is applied through each eigendecomposition. Atlas
     and partition may be supplied (they must fit the normalized family);
     both are built when omitted. The frozen multiplicities declared on the
-    output are the saturation counts that hold at every sample. The band
-    identity under r(x)/2 is checked before returning.
+    output are the saturation counts that hold at every sample.
+
+    Only the input is solved: the normalized family and the replacement get
+    their spectral planes in closed form, (lam/K, V) and (chi_r(lam/K), V),
+    and the replacement's operators come from one stacked matmul. The band
+    identity is checked on those operators before returning.
     """
     if not f.hermitian:
         raise ValidationError("polarized replacement needs a Hermitian family")
@@ -201,11 +152,10 @@ def finite_polarized_replace(f: OperatorFamily, atlas: Atlas | None = None,
     if K <= 0.0:
         raise ValidationError("the zero family has no spectrum to polarize")
     eye_scale = 1.0 / K
-    g = OperatorFamily(
-        grid=f.grid,
-        dim=f.dim,
-        operators=tuple(eye_scale * A for A in f.operators),
-        hermitian=True,
+    # Rescaling keeps the eigenvectors, so g's plane is f's, rescaled.
+    g = OperatorFamily._with_plane(
+        f.eigenvalues * eye_scale, f.frames,
+        grid=f.grid, dim=f.dim, operators=eye_scale * f.operator_stack,
     )
     if atlas is None:
         atlas = build_atlas(g, max_chart_len=max_chart_len, gap_tol=gap_tol)
@@ -220,28 +170,18 @@ def finite_polarized_replace(f: OperatorFamily, atlas: Atlas | None = None,
         pou = partition_of_unity(atlas, g.n_samples, loop=loop)
     r = radius_function(atlas, pou)
 
-    ops = []
-    m_minus = None
-    m_plus = None
-    for x in range(g.n_samples):
-        dec = g.eigen(x)
-        squashed = chi(dec.eigenvalues, float(r[x]))
-        A = (dec.frame * squashed) @ dec.frame.conj().T
-        ops.append(0.5 * (A + A.conj().T))
-        n_lo = int(np.sum(squashed <= -1.0 + SATURATION_TOL))
-        n_hi = int(np.sum(squashed >= 1.0 - SATURATION_TOL))
-        m_minus = n_lo if m_minus is None else min(m_minus, n_lo)
-        m_plus = n_hi if m_plus is None else min(m_plus, n_hi)
-
-    # chi is odd and monotone, so it maps sorted spectra to sorted spectra;
-    # when the squash radius agrees at both ends the shifted-loop matching
-    # of the input survives verbatim, shift included.
-    replaced = OperatorFamily(
-        grid=f.grid,
-        dim=f.dim,
-        operators=tuple(ops),
-        hermitian=True,
-        polarized_bands=(m_minus, m_plus),
+    # The replacement's plane is (chi_r(Lam_g), V_g). chi is odd and
+    # monotone, so it maps sorted spectra to sorted spectra; when the squash
+    # radius agrees at both ends the shifted-loop matching of the input
+    # survives verbatim, shift included.
+    V = g.frames
+    squashed = chi(g.eigenvalues, r[:, None])
+    A = (V * squashed[:, None, :]) @ V.conj().transpose(0, 2, 1)
+    m_minus = int(np.sum(squashed <= -1.0 + SATURATION_TOL, axis=1).min())
+    m_plus = int(np.sum(squashed >= 1.0 - SATURATION_TOL, axis=1).min())
+    replaced = OperatorFamily._with_plane(
+        squashed, V, polarized_bands=(m_minus, m_plus),
+        grid=f.grid, dim=f.dim, operators=0.5 * (A + A.conj().transpose(0, 2, 1)),
         scale=K,
     )
     band_report = band_identity_check(g, replaced, r, gap_tol)

@@ -147,6 +147,26 @@ def spectrum_identity_tolerance(lam: np.ndarray, t) -> np.ndarray:
     return SPECTRUM_IDENTITY_TOL * np.maximum(1.0, top)
 
 
+def _spectrum_deviation(stack: np.ndarray, lam: np.ndarray, ts: list) -> np.ndarray:
+    """(N, T) table: max deviation between the sorted spectrum of |B(t)|^2
+    and its closed form, per operator of the stack and angle of ts."""
+    dev = np.empty((len(stack), len(ts)))
+    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
+        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2, axis=1)
+        dev[:, k] = np.abs(np.linalg.eigvalsh(G) - right).max(axis=1)
+    return dev
+
+
+def spectrum_identity_deviation(f: OperatorFamily, t) -> np.ndarray:
+    """The (N, T) deviation table that suspension_spectrum_check judges.
+
+    Computed the same way, over the family's samples and the angles t, but
+    never raises: compare it with spectrum_identity_tolerance(f.eigenvalues,
+    t) to judge it.
+    """
+    return _spectrum_deviation(f.operator_stack, f.eigenvalues, _angles(t))
+
+
 def suspension_spectrum_check(A, t):
     """Verify |B(t)|^2 has spectrum {cos^2 t + lam^2 sin^2 t} over lam in spec(A).
 
@@ -160,10 +180,7 @@ def suspension_spectrum_check(A, t):
     """
     stack, lam, _ = _base_plane(A)
     ts = _angles(t)
-    dev = np.empty((len(stack), len(ts)))
-    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
-        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2, axis=1)
-        dev[:, k] = np.abs(np.linalg.eigvalsh(G) - right).max(axis=1)
+    dev = _spectrum_deviation(stack, lam, ts)
     bad = dev > spectrum_identity_tolerance(lam, ts)
     if bad.any():
         x, k = np.unravel_index(np.argmax(bad), bad.shape)

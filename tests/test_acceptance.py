@@ -435,7 +435,7 @@ def test_criterion_10_polarized_replacement(criterion, rng):
             assert report["flow_input"] == report["flow_replacement"] == expected
             assert report["flow_oracle_unscaled"] == expected
             band = band_identity_check(rep.scaled_input, rep.family, rep.radius)
-            assert band["worst_distance"] <= 1e-9
+            assert band["worst_residual"] <= band["tolerance"]
         for r in rng.uniform(0.02, 1.0, size=50):
             r = float(r)
             assert chi(0.5 * r, r) == 0.5 * r

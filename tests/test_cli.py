@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bandflow.linalg
-from bandflow import generate, make_weak_section, suspension
+from bandflow import (
+    band_identity_check,
+    finite_polarized_replace,
+    generate,
+    make_weak_section,
+    suspension,
+)
 from bandflow.cli import _encode, _load_section_file, _write_json, load_family_spec, main
 
 
@@ -215,9 +221,15 @@ def test_suspend_fails_on_a_corrupted_gram(tmp_path, monkeypatch, capsys):
             yield tk, G
 
     monkeypatch.setattr(suspension, "_suspension_grams", corrupted)
-    code, _ = run(tmp_path, _conjugated_open_path(1.0), ["suspend"])
+    code, out = run(tmp_path, _conjugated_open_path(1.0), ["suspend"])
+    # the failed identity is reported, not raised: the report is written in full
     assert code == 1
-    assert "ModelViolationError: suspension spectrum identity violated" in capsys.readouterr().err
+    report = read_report(out, "suspend_report.json")
+    assert json.loads(capsys.readouterr().out) == report
+    check = {c["name"]: c for c in report["invariant_checks"]}["spectrum_identity_max_residual"]
+    assert check["passed"] is False
+    assert check["value"] >= 1e-6 * 0.9
+    assert (out / "suspension_residuals.csv").is_file()
 
 
 def _count_eigensolves(monkeypatch):
@@ -446,7 +458,7 @@ def test_section_file_frames_must_be_orthonormal(tmp_path, capsys):
 
 def test_section_file_entries_keep_signed_zeros_and_integers(tmp_path):
     column = [{"re": -0.0, "im": 1}, {"re": 0, "im": -0.0}]
-    f, _ = load_family_spec(write_spec(tmp_path, _sampled_spec()))
+    f, _, _ = load_family_spec(write_spec(tmp_path, _sampled_spec()))
     path = tmp_path / "section.json"
     path.write_text(json.dumps({"reference_cut": 0.5, "subspaces": [{"columns": [column]}] * 3}))
     frame = _load_section_file(path, f).subspaces[0].frame
@@ -477,6 +489,102 @@ def test_polarize_crossing_and_reload(tmp_path):
     assert code2 == 0
     reloaded = read_report(out2, "flow_report.json")
     assert reloaded["outputs"]["flow_chartwise"] == 1
+
+
+def test_polarize_solves_only_its_input(tmp_path, monkeypatch):
+    # the normalized input and the replacement get closed-form planes, and
+    # a read-back replacement is solved once, by its frozen-band check
+    spec = {"generator": "random_smooth", "params": {"dim": 4, "samples": 200, "seed": 2}}
+    counts = _count_eigensolves(monkeypatch)
+    code, out = run(tmp_path, spec, ["polarize"])
+    assert code == 0
+    assert counts["eigh"] == 1
+    counts["eigh"] = 0
+    code = main(["polarize", "--spec", str(out / "replacement_family.json"),
+                 "--out", str(tmp_path / "again")])
+    assert code == 0
+    assert counts["eigh"] == 1
+
+
+def test_band_identity_check_runs_no_eigensolve(monkeypatch):
+    rep = finite_polarized_replace(generate("random_smooth", dim=4, samples=200, seed=1))
+    counts = _count_eigensolves(monkeypatch)
+    band_identity_check(rep.scaled_input, rep.family, rep.radius)
+    assert counts == {"eigvalsh": 0, "eigh": 0, "hermitian_eig": 0}
+
+
+# ---------------------------------------------------------- inputs_digest
+
+
+def _digest(out, command):
+    return read_report(out, f"{command}_report.json")["inputs_digest"]
+
+
+def test_digest_covers_an_effective_seed(tmp_path):
+    spec = write_spec(tmp_path, {"generator": "random_smooth",
+                                 "params": {"dim": 3, "samples": 40}})
+    reports = {}
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main(["flow", "--spec", str(spec), "--out", str(out), "--seed", seed]) == 0
+        reports[seed] = read_report(out, "flow_report.json")
+    assert reports["1"]["outputs"]["atlas"] != reports["2"]["outputs"]["atlas"]
+    assert reports["1"]["options"]["seed"] == 1
+    assert reports["1"]["inputs_digest"] != reports["2"]["inputs_digest"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"generator": "random_smooth", "params": {"dim": 3, "samples": 40, "seed": 5}},
+    {"generator": "crossing"},
+    _sampled_spec(),
+])
+def test_an_ineffective_seed_leaves_the_report_alone(tmp_path, spec):
+    path = write_spec(tmp_path, spec)
+    blobs = []
+    for tag, extra in (("none", []), ("seeded", ["--seed", "9"])):
+        out = tmp_path / tag
+        assert main(["flow", "--spec", str(path), "--out", str(out)] + extra) == 0
+        blobs.append((out / "flow_report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert "seed" not in json.loads(blobs[0])["options"]
+
+
+def test_digest_covers_grid_refine_of_suspend(tmp_path):
+    spec = write_spec(tmp_path, {"generator": "crossing", "params": {"samples": 21}})
+    digests = set()
+    for refine in ("1", "3"):
+        out = tmp_path / refine
+        assert main(["suspend", "--spec", str(spec), "--out", str(out),
+                     "--t-samples", "11", "--grid-refine", refine]) == 0
+        assert read_report(out, "suspend_report.json")["options"]["grid_refine"] == int(refine)
+        digests.add(_digest(out, "suspend"))
+    assert len(digests) == 2
+
+
+def _section_file_json(tilt):
+    column = [{"re": 0.0}, {"re": float(np.cos(tilt))}, {"re": float(np.sin(tilt))}]
+    return json.dumps({"reference_cut": 1.0, "subspaces": [{"columns": [column]}] * 21})
+
+
+def test_digest_covers_section_file_bytes_not_its_path(tmp_path):
+    spec = write_spec(tmp_path, {"sampled": {
+        "dim": 3,
+        "grid": {"closure": "open_path", "kind": "interval_path",
+                 "samples": np.linspace(0.0, 1.0, 21).tolist()},
+        "matrices": {"real": [np.diag([s - 0.5, 1.5, -2.0]).tolist()
+                              for s in np.linspace(0.0, 1.0, 21)]}}})
+    same_path = tmp_path / "section.json"
+    other_path = tmp_path / "elsewhere.json"
+    digests = {}
+    for tag, path, tilt in (("a", same_path, 0.0), ("b", same_path, 0.3),
+                            ("c", other_path, 0.0)):
+        path.write_text(_section_file_json(tilt))
+        out = tmp_path / tag
+        assert main(["section", "--spec", str(spec), "--out", str(out),
+                     "--section-file", str(path)]) == 0
+        digests[tag] = _digest(out, "section")
+    assert digests["a"] != digests["b"]
+    assert digests["a"] == digests["c"]
 
 
 # ------------------------------------------------------------ JSON writer

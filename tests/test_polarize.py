@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from bandflow import (
     AdaptedChart,
     Atlas,
     AtlasBuildError,
+    ModelViolationError,
     OperatorFamily,
     ParameterGrid,
     SpectralBoundaryError,
@@ -26,6 +27,7 @@ from bandflow import (
     window_subspace,
 )
 from bandflow.atlas import _radius_candidates
+from bandflow.linalg import RECON_TOL, hermitian_eig_stack
 from bandflow.polarize import BAND_IDENTITY_TOL
 
 
@@ -181,8 +183,8 @@ def test_replace_shift_flow_family():
     # the seam carries one squash radius, split between the end charts
     assert rep.radius[0] == pytest.approx(rep.radius[-1])
     assert 0.4 < rep.radius[0] < 0.55
-    assert rep.band_report["worst_distance"] <= 1e-9
-    assert rep.band_report["levels_checked"] > 0
+    assert rep.band_report["worst_residual"] <= rep.band_report["tolerance"]
+    assert rep.band_report["samples_checked"] == f.n_samples
 
 
 def test_replace_validation():
@@ -220,23 +222,36 @@ def test_replace_rejects_misfit_atlas():
 # --------------------------------------------------------------- band identity
 
 
+def _resolved(fam):
+    """The same operators as a fresh family, whose plane comes from its own eigh."""
+    return OperatorFamily(grid=fam.grid, dim=fam.dim, operators=fam.operator_stack)
+
+
 def test_band_identity_report():
     rep = finite_polarized_replace(generate("crossing"))
     report = band_identity_check(rep.scaled_input, rep.family, rep.radius)
-    assert report["worst_distance"] <= 1e-9
-    assert report["levels_checked"] > 0
-    assert report["samples_skipped"] == 0
+    assert report == rep.band_report
+    assert report["samples_checked"] == rep.family.n_samples
+    # the spectator saturates at 1, so the bound is RECON_TOL * (1 + 1)
+    assert report["tolerance"] == 2.0 * RECON_TOL
+    assert report["worst_residual"] <= report["tolerance"]
+    assert 0 <= report["worst_sample"] < rep.family.n_samples
 
 
 def test_band_identity_detects_mismatch():
     g = constant_family([-1.0, 0.025, 1.0])
     wrong = constant_family([-1.0, -0.025, 1.0])
-    with pytest.raises(ValidationError, match="band identity fails"):
+    with pytest.raises(ModelViolationError, match="band identity fails at sample 0:"):
         band_identity_check(g, wrong, np.full(3, 0.5))
 
 
 def _band_identity_loop(g, replaced, radius, gap_tol=1e-6):
-    """Sample-by-sample form of band_identity_check, the reference."""
+    """Window-by-window band identity, the reference for the residual check.
+
+    For every sample and every admissible level under half the squash
+    radius, the (level, inf) windows of the two families must agree within
+    BAND_IDENTITY_TOL.
+    """
     worst, checked, skipped = 0.0, 0, 0
     for x in range(g.n_samples):
         cap = float(radius[x]) / 2.0 - gap_tol
@@ -257,6 +272,20 @@ def _band_identity_loop(g, replaced, radius, gap_tol=1e-6):
             "samples_skipped": skipped}
 
 
+def _assert_band_identity_on_resolved_operators(rep):
+    """Re-solve the written operators: their eigenvalues are the closed-form
+    table within the residual rule, and every window the reference compares
+    agrees with the re-solved input's."""
+    g = rep.scaled_input
+    expected = chi(g.eigenvalues, rep.radius[:, None])
+    lam, _ = hermitian_eig_stack(rep.family.operator_stack)
+    tol = RECON_TOL * (1.0 + np.abs(expected).max(axis=1))
+    assert (np.abs(lam - expected).max(axis=1) <= tol).all()
+    reference = _band_identity_loop(_resolved(g), _resolved(rep.family), rep.radius)
+    assert reference["worst_distance"] <= BAND_IDENTITY_TOL
+    return reference
+
+
 @pytest.mark.parametrize("name,params", [
     ("crossing", {}),
     ("rotation", {}),
@@ -267,10 +296,48 @@ def _band_identity_loop(g, replaced, radius, gap_tol=1e-6):
 ])
 def test_band_identity_matches_per_sample_loop(name, params):
     rep = finite_polarized_replace(generate(name, **params))
-    batched = band_identity_check(rep.scaled_input, rep.family, rep.radius)
-    assert batched["levels_checked"] > 0
-    # equal floats, not close ones: the batch makes the same gemm and eigvalsh calls
-    assert batched == _band_identity_loop(rep.scaled_input, rep.family, rep.radius)
+    assert rep.band_report["worst_residual"] <= rep.band_report["tolerance"]
+    assert _assert_band_identity_on_resolved_operators(rep)["levels_checked"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.builds(lambda dim, seed, loop, samples: ("random_smooth", {
+            "dim": dim, "seed": seed, "loop": loop, "samples": samples}),
+            st.integers(2, 8), st.integers(0, 10_000), st.booleans(), st.integers(20, 60)),
+        st.builds(lambda k, m_minus, m_plus, samples: ("polarized_crossing", {
+            "k": k, "m_minus": m_minus, "m_plus": m_plus, "samples": samples}),
+            st.sampled_from([-2, -1, 1, 2]), st.integers(1, 3), st.integers(1, 3),
+            st.integers(5, 60)),
+        st.builds(lambda k, m, samples: ("crossing", {"k": k, "m": m, "samples": samples}),
+                  st.sampled_from([-2, -1, 1, 2]), st.integers(0, 3), st.integers(6, 60)),
+    )
+)
+def test_closed_form_planes_hold_on_resolved_operators(case):
+    name, params = case
+    f = generate(name, **params)
+    try:
+        rep = finite_polarized_replace(f)
+    except AtlasBuildError:
+        reject()
+    # the closed-form planes are the ones the families carry
+    np.testing.assert_array_equal(rep.scaled_input.frames, f.frames)
+    np.testing.assert_array_equal(rep.family.frames, f.frames)
+    np.testing.assert_array_equal(rep.family.eigenvalues,
+                                  chi(rep.scaled_input.eigenvalues, rep.radius[:, None]))
+    _assert_band_identity_on_resolved_operators(rep)
+
+
+@pytest.mark.parametrize("x", [0, 17, 79])
+def test_band_identity_names_a_corrupted_sample(x):
+    rep = finite_polarized_replace(generate("random_smooth", dim=4, samples=80, seed=2))
+    stack = rep.family.operator_stack.copy()
+    stack[x, 0, 1] += 1e-7
+    stack[x, 1, 0] += 1e-7
+    corrupted = OperatorFamily(grid=rep.family.grid, dim=rep.family.dim, operators=stack)
+    with pytest.raises(ModelViolationError, match=f"band identity fails at sample {x}:"):
+        band_identity_check(rep.scaled_input, corrupted, rep.radius)
 
 
 # Sample 2 moves an eigenvalue across the level 0.0125 (a distance of 1);
@@ -289,11 +356,12 @@ def test_band_identity_raises_at_first_failing_pair(at2, at4, error):
     g = constant_family(base, samples=6)
     replaced = diagonal_family([base, base, at2, base, at4, base])
     radius = np.full(6, 0.5)
-    with pytest.raises(error) as expected:
+    # the window-by-window reference stops at sample 2 with its own error ...
+    with pytest.raises(error):
         _band_identity_loop(g, replaced, radius)
-    with pytest.raises(error) as batched:
+    # ... and the residual check names the same sample
+    with pytest.raises(ModelViolationError, match="band identity fails at sample 2:"):
         band_identity_check(g, replaced, radius)
-    assert str(batched.value) == str(expected.value)
 
 
 # ------------------------------------------------------------ flow preservation
