@@ -269,14 +269,16 @@ def build_atlas(f: OperatorFamily, max_chart_len: int = DEFAULT_MAX_CHART_LEN,
         if end >= n - 1:
             break
         start = end
-    return Atlas(charts=tuple(charts))
+    atlas = Atlas(charts=tuple(charts))
+    f._atlas_checks[(atlas, gap_tol)] = (True, "valid atlas")
+    return atlas
 
 
 def check_atlas(f: OperatorFamily, atlas: Atlas, gap_tol: float = DEFAULT_GAP_TOL):
     """Full-grid coverage plus is_adapted on every chart; returns (ok, report).
 
     The verdict is kept on the family per (atlas, gap_tol), so an atlas
-    checked once is not band-walked again; a check that raises is not kept.
+    checked or built once is not walked again; a check that raises is not kept.
     """
     key = (atlas, gap_tol)
     if key not in f._atlas_checks:

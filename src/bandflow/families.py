@@ -33,6 +33,7 @@ from .linalg import (
     Subspace,
     as_hermitian,
     as_square_matrix,
+    checked_stack,
     hermitian_eig_stack,
     spectral_projection,
     window_boundary_error,
@@ -43,6 +44,9 @@ FAMILY_TOL = 1e-9
 # Sorted-spectrum agreement required across a shifted-loop seam, after
 # dropping the declared number of boundary branches.
 SHIFT_MATCH_TOL = 1e-8
+
+# Entries per validation block, which keeps its temporaries small.
+_BLOCK_ENTRIES = 4096
 
 CLOSURES = ("open_path", "exact_loop", "shifted_loop")
 GRID_KINDS = ("interval_path", "circle_loop")
@@ -89,6 +93,27 @@ class ContinuityReport:
     worst_step_index: int
 
 
+def operator_stack(ops, dim: int, hermitian: bool = True) -> np.ndarray:
+    """ops as one (N, dim, dim) stack validated by checked_stack in blocks; a
+    block that misfits is retried per operator, to raise at its first fault."""
+    out = np.empty((len(ops), dim, dim), dtype=np.complex128)
+    lo, step = 0, max(1, _BLOCK_ENTRIES // max(dim * dim, 1))
+    while lo < len(ops):
+        try:
+            block = np.asarray(ops[lo:lo + step], dtype=np.complex128)
+        except (TypeError, ValueError):
+            block = None
+        if block is None or block.shape[1:] != (dim, dim) or dim < 1:
+            if step == 1:
+                M = as_hermitian(ops[lo]) if hermitian else as_square_matrix(ops[lo])
+                raise ValidationError(f"operator {lo} has dim {M.shape[0]}, declared {dim}")
+            step = 1
+            continue
+        out[lo:lo + step] = checked_stack(block, hermitian)
+        lo += step
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """One operator per grid sample, with optional frozen bands at -1 and +1.
@@ -98,13 +123,13 @@ class OperatorFamily:
     (within 1e-9) and the whole spectrum inside [-1, 1]. scale records the
     divisor applied when a family was normalized into that range.
 
-    The validated operators are stored in one contiguous (N, n, n) stack;
-    the operators tuple holds views into it. The spectral plane (eigenvalue
-    table, frames, row-sorted absolute eigenvalues) is computed for the
-    whole stack at once, by one hermitian_eig_stack call, the first time any
-    spectral data is asked for (at construction when frozen bands are
-    declared, since they are checked against it); eigen(i) returns views
-    into it.
+    The operators (a sequence or an array) are validated as one contiguous
+    (N, n, n) stack; the operators tuple holds views into it. The spectral
+    plane (eigenvalue table, frames, row-sorted absolute eigenvalues) is
+    computed for the whole stack at once, by one hermitian_eig_stack call,
+    the first time any spectral data is asked for (at construction when
+    frozen bands are declared, since they are checked against it); eigen(i)
+    returns views into it.
     """
 
     grid: ParameterGrid
@@ -124,14 +149,7 @@ class OperatorFamily:
             raise ValidationError(
                 f"{len(self.operators)} operators for {self.grid.n_samples} samples"
             )
-        stack = None
-        for k, op in enumerate(self.operators):
-            M = as_hermitian(op) if self.hermitian else as_square_matrix(op)
-            if M.shape[0] != self.dim:
-                raise ValidationError(f"operator {k} has dim {M.shape[0]}, declared {self.dim}")
-            if stack is None:
-                stack = np.empty((len(self.operators),) + M.shape, dtype=np.complex128)
-            stack[k] = M
+        stack = operator_stack(self.operators, self.dim, self.hermitian)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
         if self.polarized_bands is not None:

@@ -143,7 +143,7 @@ def polarized_triple(A, eps: float, gap_tol: float = DEFAULT_GAP_TOL) -> Polariz
 
 @dataclass(frozen=True, eq=False)
 class ChartBandData:
-    """Band data of one chart: radius, per-sample bands, boundary counts."""
+    """Band data of one chart: radius, transition samples, boundary counts."""
 
     start: int
     end: int
@@ -152,7 +152,6 @@ class ChartBandData:
     right_sample: int
     n_below_left: int
     n_below_right: int
-    bands: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +176,6 @@ class IndexChain:
 def _n_below(f: OperatorFamily, sample: int, eps: float) -> int:
     lam = f.eigenvalues[sample]
     return int(np.sum((lam > -eps) & (lam < 0.0)))
-
-
-def _min_abs_eigenvalue(f: OperatorFamily, sample: int) -> float:
-    return float(f.abs_eigenvalues[sample, 0])
 
 
 def _pick_transition_sample(f: OperatorFamily, lo: int, hi: int,
@@ -210,7 +205,7 @@ def net_up_crossings(table: np.ndarray) -> int:
 def index_chain(f: OperatorFamily, atlas: Atlas,
                 gap_tol: float = DEFAULT_GAP_TOL,
                 zero_tol: float = ZERO_TOL) -> IndexChain:
-    """Band subspaces, boundary counts, and overlap decompositions.
+    """Boundary counts per chart and band decompositions per overlap.
 
     Transition samples are the first grid sample, one sample inside each
     chart overlap, and the last grid sample. Each must carry no eigenvalue
@@ -222,6 +217,7 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     band splits as the smaller band plus the two annular windows, and
     within every chart the change of the below-zero count between the
     transition samples equals the net signed zero crossings there.
+    Only overlaps get subspaces: check_atlas has walked each chart's window.
     """
     ok, report = check_atlas(f, atlas, gap_tol)
     if not ok:
@@ -229,7 +225,7 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     charts = atlas.charts
     n_charts = len(charts)
     for endpoint, label in ((0, "first"), (f.n_samples - 1, "last")):
-        if _min_abs_eigenvalue(f, endpoint) <= zero_tol:
+        if f.abs_eigenvalues[endpoint, 0] <= zero_tol:
             raise BoundaryZeroError(
                 f"{label} grid sample has an eigenvalue within {zero_tol:.1e} "
                 f"of 0; the boundary counts are ambiguous there"
@@ -244,8 +240,6 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     for j, chart in enumerate(charts):
         left = 0 if j == 0 else overlap_samples[j - 1]
         right = f.n_samples - 1 if j == n_charts - 1 else overlap_samples[j]
-        bands = tuple(window_subspace(f, k, -chart.eps, chart.eps)
-                      for k in chart.sample_indices())
         n_left = _n_below(f, left, chart.eps)
         n_right = _n_below(f, right, chart.eps)
         crossings = net_up_crossings(lam[left:right + 1])
@@ -258,7 +252,6 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
             start=chart.start, end=chart.end, eps=chart.eps,
             left_sample=left, right_sample=right,
             n_below_left=n_left, n_below_right=n_right,
-            bands=bands,
         ))
 
     overlaps = []
@@ -336,7 +329,7 @@ def spectral_flow_oracle(f: OperatorFamily, refine: int = 2) -> int:
 def spectral_flow_endpoints(f: OperatorFamily, zero_tol: float = ZERO_TOL) -> int:
     """Gain in positive-eigenvalue count from the first sample to the last."""
     for sample, label in ((0, "first"), (f.n_samples - 1, "last")):
-        if _min_abs_eigenvalue(f, sample) <= zero_tol:
+        if f.abs_eigenvalues[sample, 0] <= zero_tol:
             raise ValidationError(
                 f"{label} sample is not invertible within {zero_tol:.1e}; "
                 f"the endpoint signature count is undefined"

@@ -46,32 +46,38 @@ COMBINATION_IDENTITY_TOL = 1e-10
 _PHASE_TOL = 1e-9
 
 
+def checked_stack(S: np.ndarray, hermitian: bool = True) -> np.ndarray:
+    """Validate a (N, n, n) complex stack in one pass; returns a new stack.
+
+    Each A_k must be finite and, when hermitian, have max|A_k - A_k*| within
+    HERMITIAN_TOL_FACTOR * max(max|A_k|, 1); it then comes back as the exactly
+    Hermitian 0.5 (A_k + A_k*). The first failing A_k raises."""
+    finite = np.isfinite(S).all(axis=(1, 2))
+    Sh = S.conj().transpose(0, 2, 1)
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(S - Sh).max(axis=(1, 2))
+    tol = HERMITIAN_TOL_FACTOR * np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
+    bad = ~finite | (hermitian & (defect > tol))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite[k]:
+            raise ValidationError("matrix has non-finite entries")
+        raise ValidationError(f"matrix is not Hermitian: max|A - A*| = {defect[k]:.3e} "
+                              f"exceeds {HERMITIAN_TOL_FACTOR:.0e} * max|A|")
+    return np.add(S, Sh, order="C") * 0.5 if hermitian else S.copy()
+
+
 def as_square_matrix(entries) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
     B = np.asarray(entries, dtype=np.complex128)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {B.shape}")
-    if not np.all(np.isfinite(B.real)) or not np.all(np.isfinite(B.imag)):
-        raise ValidationError("matrix has non-finite entries")
-    return B
+    return checked_stack(B[None], hermitian=False)[0]
 
 
 def as_hermitian(entries) -> np.ndarray:
-    """Validate Hermitian symmetry and return the symmetrized matrix.
-
-    The defect max|A - A*| is measured against HERMITIAN_TOL_FACTOR times
-    max|A|; inputs within tolerance are symmetrized so later eigensolves see
-    an exactly Hermitian matrix.
-    """
-    A = as_square_matrix(entries)
-    scale = float(np.abs(A).max())
-    defect = float(np.abs(A - A.conj().T).max())
-    if defect > HERMITIAN_TOL_FACTOR * max(scale, 1.0):
-        raise ValidationError(
-            f"matrix is not Hermitian: max|A - A*| = {defect:.3e} "
-            f"exceeds {HERMITIAN_TOL_FACTOR:.0e} * max|A|"
-        )
-    return 0.5 * (A + A.conj().T)
+    """The symmetrized matrix, validated as the one-matrix case of checked_stack."""
+    return checked_stack(as_square_matrix(entries)[None])[0]
 
 
 def _fix_phases_inplace(F: np.ndarray) -> None:

@@ -181,7 +181,7 @@ def finite_polarized_replace(f: OperatorFamily, atlas: Atlas | None = None,
     m_plus = int(np.sum(squashed >= 1.0 - SATURATION_TOL, axis=1).min())
     replaced = OperatorFamily._with_plane(
         squashed, V, polarized_bands=(m_minus, m_plus),
-        grid=f.grid, dim=f.dim, operators=0.5 * (A + A.conj().transpose(0, 2, 1)),
+        grid=f.grid, dim=f.dim, operators=A,
         scale=K,
     )
     band_report = band_identity_check(g, replaced, r, gap_tol)

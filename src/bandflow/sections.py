@@ -601,7 +601,7 @@ class ExistenceData:
     """Verdict of the loop existence test.
 
     exists is decided by the spectral flow; when it holds, sections carries
-    a witness verified against the sandwich oracle and radius its r values.
+    a witness, radius its r values and sandwich the oracle's report on them.
     deformed optionally holds the glued output of the deformation applied to
     the raw witness, when a global reference cut is available for it.
     """
@@ -611,6 +611,7 @@ class ExistenceData:
     obstruction: int
     sections: tuple = ()
     radius: Optional[np.ndarray] = None
+    sandwich: dict = field(default_factory=dict)
     deformed: Optional[DeformationResult] = None
     note: str = ""
 
@@ -675,6 +676,7 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
         obstruction=0,
         sections=tuple(sections),
         radius=radius,
+        sandwich=rep,
         deformed=deformed,
         note=note,
     )

@@ -514,8 +514,9 @@ def test_check_atlas_keeps_verdicts_not_errors(monkeypatch):
         return adapted(f, chart, gap_tol)
 
     monkeypatch.setattr(atlas_module, "is_adapted", counted)
+    atlas = build_atlas(generate("crossing"))
+    # a family the atlas was not built on has no verdict yet
     f = generate("crossing")
-    atlas = build_atlas(f)
     verdict = check_atlas(f, atlas)
     assert verdict == (True, "valid atlas") and len(walked) == atlas.n_charts
     assert check_atlas(f, Atlas(atlas.charts)) == verdict
@@ -530,6 +531,25 @@ def test_check_atlas_keeps_verdicts_not_errors(monkeypatch):
         with pytest.raises(SpectralBoundaryError):
             check_atlas(on_level, one_chart, 0.0)
     assert len(walked) == 3 * atlas.n_charts + 2
+
+
+def test_build_atlas_records_its_verdict(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_atlas walked an atlas build_atlas made")
+
+    f = generate("crossing")
+    atlas = build_atlas(f)
+    monkeypatch.setattr(atlas_module, "is_adapted", forbidden)
+    assert check_atlas(f, atlas) == (True, "valid atlas")
+    assert check_atlas(f, Atlas(atlas.charts)) == (True, "valid atlas")
+    # the verdict holds for the gap_tol the atlas was built with only
+    with pytest.raises(AssertionError, match="walked"):
+        check_atlas(f, atlas, 1e-3)
+
+
+def uncached_copy(f):
+    """The same family, built afresh: its own plane and no atlas verdicts."""
+    return OperatorFamily(grid=f.grid, dim=f.dim, operators=f.operator_stack)
 
 
 # ---------------------------------------------------------------- chart growth
@@ -615,6 +635,22 @@ def test_grow_chart_matches_forward_scan(f, grow):
     built = outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
     with mock.patch.object(atlas_module, "_grow_chart", scan_grow_chart):
         assert built == outcome(build_atlas, f, max_chart_len, gap_tol, eps_cap)
+
+
+random_smooth_families = st.builds(
+    lambda dim, seed: generate("random_smooth", dim=dim, seed=seed, samples=120),
+    st.integers(2, 6), st.integers(0, 10**6))
+
+
+@settings(max_examples=200)
+@given(near_degenerate_families() | random_smooth_families, GROW_SETTINGS)
+def test_built_atlas_passes_a_fresh_check(f, grow):
+    max_chart_len, gap_tol, eps_cap = grow
+    try:
+        atlas = build_atlas(f, max_chart_len, gap_tol, eps_cap)
+    except AtlasBuildError:
+        return
+    assert atlas_module._check_atlas(uncached_copy(f), atlas, gap_tol) == (True, "valid atlas")
 
 
 @pytest.mark.parametrize("f", TABLE_FAMILIES, ids=lambda f: f"dim{f.dim}x{f.n_samples}")

@@ -1,8 +1,10 @@
 """Parameter grids, family closure rules, and the built-in generators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bandflow import (
     ModelViolationError,
@@ -17,7 +19,9 @@ from bandflow import (
     subspace_distance,
     window_subspace,
 )
-from bandflow.families import window_steps
+from bandflow import families as families_module
+from bandflow.families import operator_stack, window_steps
+from bandflow.linalg import HERMITIAN_TOL_FACTOR
 
 from conftest import random_hermitian
 
@@ -460,3 +464,139 @@ def test_window_steps_stop_before_a_later_boundary():
     # never reaches
     first = next(k for k, d in window_steps(f, 0, 100, -0.105, 0.0) if d > 0.5)
     assert first == 40
+
+
+# ---------------------------------------------------------------- stack validation
+
+
+def _square_loop(entries):
+    """as_square_matrix as it was coded per matrix, the reference below."""
+    B = np.asarray(entries, dtype=np.complex128)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {B.shape}")
+    if not np.all(np.isfinite(B.real)) or not np.all(np.isfinite(B.imag)):
+        raise ValidationError("matrix has non-finite entries")
+    return B
+
+
+def _hermitian_loop(entries):
+    A = _square_loop(entries)
+    scale = float(np.abs(A).max())
+    defect = float(np.abs(A - A.conj().T).max())
+    if defect > HERMITIAN_TOL_FACTOR * max(scale, 1.0):
+        raise ValidationError(
+            f"matrix is not Hermitian: max|A - A*| = {defect:.3e} "
+            f"exceeds {HERMITIAN_TOL_FACTOR:.0e} * max|A|"
+        )
+    return 0.5 * (A + A.conj().T)
+
+
+def per_operator_stack(ops, dim, hermitian):
+    """The validation loop OperatorFamily used to run, one operator at a time."""
+    stack = None
+    for k, op in enumerate(ops):
+        M = _hermitian_loop(op) if hermitian else _square_loop(op)
+        if M.shape[0] != dim:
+            raise ValidationError(f"operator {k} has dim {M.shape[0]}, declared {dim}")
+        if stack is None:
+            stack = np.empty((len(ops),) + M.shape, dtype=np.complex128)
+        stack[k] = M
+    return stack
+
+
+def stack_outcome(fn, *args):
+    """fn's stack as int64 bits, or the type and message of what it raises."""
+    try:
+        S = fn(*args)
+    except (ValidationError, TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return S.shape, S.view(np.int64).tolist()
+
+
+@st.composite
+def operator_lists(draw):
+    """Operator lists with one or two defects each: non-finite entries,
+    Hermitian defects either side of the bound, misfit shapes, ragged rows."""
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1e-3, 0.25, 1.0, 7.0, 1e4]))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["complex", "real", "int"]))
+    ops = []
+    for _ in range(N):
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        H = scale * (X + X.conj().T)
+        if kind == "real":
+            H = H.real.copy()
+        elif kind == "int":
+            H = np.rint(H.real).astype(np.int64)
+        ops.append(H)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, N - 1))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        how = draw(st.sampled_from(["nonfinite", "defect", "non-square", "wrong-dim",
+                                    "ragged"]))
+        if how in ("nonfinite", "defect") and np.asarray(ops[k], dtype=object).shape != (n, n):
+            continue
+        if how == "nonfinite" and kind != "int":
+            A = ops[k].astype(np.complex128)
+            bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            if draw(st.booleans()):
+                A[i, j] = complex(bad, A[i, j].imag)
+            else:
+                A[i, j] = complex(A[i, j].real, bad)
+            ops[k] = A
+        elif how == "defect":
+            A = ops[k].astype(np.complex128)
+            bound = HERMITIAN_TOL_FACTOR * max(float(np.abs(A).max()), 1.0)
+            step = draw(st.sampled_from([0.5, 0.999, 1.001, 3.0])) * bound
+            A[i, j] += step if i != j else 0.5j * step
+            ops[k] = A
+        elif how == "non-square":
+            ops[k] = np.ones((n, n + 1))
+        elif how == "wrong-dim":
+            m = draw(st.sampled_from([m for m in (n - 1, n + 1) if m >= 0]))
+            ops[k] = np.eye(m) * draw(st.sampled_from([1.0, np.nan]))
+        elif how == "ragged":
+            ops[k] = [[1.0] * n] * max(n - 1, 1) + [[1.0] * (n + 1)]
+    container = draw(st.sampled_from([list, tuple, np.asarray]))
+    if container is np.asarray:
+        try:
+            ops = np.asarray(ops)
+        except ValueError:
+            pass
+    else:
+        ops = container(ops)
+    return ops, n, draw(st.booleans())
+
+
+@settings(max_examples=400)
+@given(operator_lists(), st.sampled_from([1, 20, families_module._BLOCK_ENTRIES]))
+def test_stack_validation_matches_per_operator_loop(case, block_entries):
+    ops, dim, hermitian = case
+    want = stack_outcome(per_operator_stack, ops, dim, hermitian)
+    with mock.patch.object(families_module, "_BLOCK_ENTRIES", block_entries):
+        assert stack_outcome(operator_stack, ops, dim, hermitian) == want
+    if len(ops) >= 2:
+        grid = ParameterGrid(kind="interval_path", samples=np.linspace(0.0, 1.0, len(ops)),
+                             closure="open_path")
+        fam = stack_outcome(lambda: OperatorFamily(grid=grid, dim=dim, operators=ops,
+                                                   hermitian=hermitian).operator_stack)
+        assert fam == want
+
+
+def test_stack_validation_raises_at_the_first_bad_operator():
+    herm = np.eye(2)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        operator_stack([herm, skew, nan], 2)
+    with pytest.raises(ValidationError, match="non-finite"):
+        operator_stack([herm, nan, skew], 2)
+    # a misfit shape is reached only after the operators before it pass
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        operator_stack([skew, np.ones((2, 3))], 2)
+    with pytest.raises(ValidationError, match="operator 1 has dim 3"):
+        operator_stack([herm, np.eye(3)], 2)
+    assert operator_stack([herm, skew], 2, hermitian=False)[1].tolist() == skew.tolist()

@@ -28,6 +28,8 @@ from bandflow import (
     subspace_distance,
 )
 from bandflow import Atlas, AdaptedChart
+from bandflow import families as families_module
+from bandflow import linalg as linalg_module
 from bandflow.flow import _refined_eigenvalue_table
 
 from conftest import random_complex
@@ -175,6 +177,43 @@ def test_index_chain_requires_valid_atlas():
     bad = Atlas(charts=(AdaptedChart(0, 100, 0.05),))
     with pytest.raises(ValidationError, match="atlas rejected"):
         index_chain(f, bad)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("truncated_shift_flow", {"N": 2}),
+    ("random_smooth", {"dim": 5, "seed": 3, "samples": 300}),
+    ("crossing", {"k": 2, "m": 2}),
+])
+def test_index_chain_builds_subspaces_only_at_overlaps(monkeypatch, name, params):
+    f = generate(name, **params)
+    atlas = build_atlas(f, max_chart_len=12)
+    calls = []
+    projection = families_module.spectral_projection
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return projection(*args, **kwargs)
+
+    monkeypatch.setattr(families_module, "spectral_projection", counted)
+    monkeypatch.setattr(linalg_module, "spectral_projection", counted)
+    chain = index_chain(f, atlas)
+    assert chain.overlaps and len(calls) <= 4 * len(chain.overlaps)
+
+
+@pytest.mark.parametrize("diagonals, charts", [
+    (((0.5, 1.0), (0.5, 1.0)), [(0, 1, 0.5)]),
+    (((-0.3, 0.5, 1.0), (-0.2, 0.5, 1.0), (0.1, 0.5, 1.0)), [(0, 1, 0.7), (1, 2, 0.5)]),
+])
+def test_index_chain_rejects_a_chart_edge_on_an_eigenvalue(diagonals, charts):
+    # gap_tol 0 lets the clearance test pass; the band walk of check_atlas
+    # is what must stop the chain
+    f = diag_path(*diagonals)
+    atlas = Atlas(tuple(AdaptedChart(*c) for c in charts))
+    with pytest.raises(SpectralBoundaryError) as err:
+        index_chain(f, atlas, gap_tol=0.0)
+    assert str(err.value) == (
+        "eigenvalue 0.5 sits at window endpoint 0.5 (distance 0.000e+00 <= tol 1.000e-09)"
+    )
 
 
 # ---------------------------------------------------------------- flow routes
