@@ -45,9 +45,6 @@ FAMILY_TOL = 1e-9
 # dropping the declared number of boundary branches.
 SHIFT_MATCH_TOL = 1e-8
 
-# Entries per validation block, which keeps its temporaries small.
-_BLOCK_ENTRIES = 4096
-
 CLOSURES = ("open_path", "exact_loop", "shifted_loop")
 GRID_KINDS = ("interval_path", "circle_loop")
 
@@ -93,25 +90,17 @@ class ContinuityReport:
     worst_step_index: int
 
 
-def operator_stack(ops, dim: int, hermitian: bool = True) -> np.ndarray:
-    """ops as one (N, dim, dim) stack validated by checked_stack in blocks; a
-    block that misfits is retried per operator, to raise at its first fault."""
-    out = np.empty((len(ops), dim, dim), dtype=np.complex128)
-    lo, step = 0, max(1, _BLOCK_ENTRIES // max(dim * dim, 1))
-    while lo < len(ops):
-        try:
-            block = np.asarray(ops[lo:lo + step], dtype=np.complex128)
-        except (TypeError, ValueError):
-            block = None
-        if block is None or block.shape[1:] != (dim, dim) or dim < 1:
-            if step == 1:
-                M = as_hermitian(ops[lo]) if hermitian else as_square_matrix(ops[lo])
-                raise ValidationError(f"operator {lo} has dim {M.shape[0]}, declared {dim}")
-            step = 1
-            continue
-        out[lo:lo + step] = checked_stack(block, hermitian)
-        lo += step
-    return out
+def _validated_stack(ops, dim: int, hermitian: bool = True) -> np.ndarray:
+    """ops as one checked_stack; misfit ops go one at a time, so the first fault raises."""
+    try:
+        S = np.asarray(ops, dtype=np.complex128)
+    except (TypeError, ValueError):
+        S = None
+    if S is None or S.shape[1:] != (dim, dim) or dim < 1:
+        for k, M in enumerate(map(as_hermitian if hermitian else as_square_matrix, ops)):
+            if M.shape[0] != dim:
+                raise ValidationError(f"operator {k} has dim {M.shape[0]}, declared {dim}")
+    return checked_stack(S, hermitian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +138,7 @@ class OperatorFamily:
             raise ValidationError(
                 f"{len(self.operators)} operators for {self.grid.n_samples} samples"
             )
-        stack = operator_stack(self.operators, self.dim, self.hermitian)
+        stack = _validated_stack(self.operators, self.dim, self.hermitian)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
         if self.polarized_bands is not None:

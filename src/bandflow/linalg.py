@@ -53,31 +53,42 @@ def checked_stack(S: np.ndarray, hermitian: bool = True) -> np.ndarray:
     HERMITIAN_TOL_FACTOR * max(max|A_k|, 1); it then comes back as the exactly
     Hermitian 0.5 (A_k + A_k*). The first failing A_k raises."""
     finite = np.isfinite(S).all(axis=(1, 2))
-    Sh = S.conj().transpose(0, 2, 1)
+    if not hermitian:
+        if not finite.all():
+            raise ValidationError("matrix has non-finite entries")
+        return S.copy()
+    St, out = S.transpose(0, 2, 1), np.empty_like(S)  # the scratch, so no stack temporaries
+    tol = HERMITIAN_TOL_FACTOR * np.maximum(np.abs(S, out=out.real).max(axis=(1, 2)), 1.0)
     with np.errstate(invalid="ignore"):
-        defect = np.abs(S - Sh).max(axis=(1, 2))
-    tol = HERMITIAN_TOL_FACTOR * np.maximum(np.abs(S).max(axis=(1, 2)), 1.0)
-    bad = ~finite | (hermitian & (defect > tol))
+        defect = np.hypot(np.subtract(S.real, St.real, out=out.real),
+                          np.add(S.imag, St.imag, out=out.imag), out=out.real).max(axis=(1, 2))
+    bad = ~finite | (defect > tol)
     if bad.any():
         k = int(np.argmax(bad))
         if not finite[k]:
             raise ValidationError("matrix has non-finite entries")
         raise ValidationError(f"matrix is not Hermitian: max|A - A*| = {defect[k]:.3e} "
                               f"exceeds {HERMITIAN_TOL_FACTOR:.0e} * max|A|")
-    return np.add(S, Sh, order="C") * 0.5 if hermitian else S.copy()
+    np.add(S.real, St.real, out=out.real)
+    np.subtract(S.imag, St.imag, out=out.imag)
+    return np.multiply(out, 0.5, out=out)
+
+
+def _square(entries) -> np.ndarray:
+    B = np.asarray(entries, dtype=np.complex128)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {B.shape}")
+    return B
 
 
 def as_square_matrix(entries) -> np.ndarray:
     """Validate and return a finite square complex matrix."""
-    B = np.asarray(entries, dtype=np.complex128)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {B.shape}")
-    return checked_stack(B[None], hermitian=False)[0]
+    return checked_stack(_square(entries)[None], hermitian=False)[0]
 
 
 def as_hermitian(entries) -> np.ndarray:
     """The symmetrized matrix, validated as the one-matrix case of checked_stack."""
-    return checked_stack(as_square_matrix(entries)[None])[0]
+    return checked_stack(_square(entries)[None])[0]
 
 
 def _fix_phases_inplace(F: np.ndarray) -> None:

@@ -273,7 +273,7 @@ def discrete_spectrum_check(f: OperatorFamily, levels: Sequence[float],
                 f"level {lam:.12g} stays within {gap_tol:.1e} of the sampled "
                 f"spectrum throughout the nudge budget"
             )
-        ops = tuple(A - shifted_level * eye for A in f.operators)
+        ops = f.operator_stack - shifted_level * eye
         g = OperatorFamily(grid=f.grid, dim=f.dim, operators=ops, hermitian=True)
         try:
             atlas = build_atlas(g, max_chart_len=max_chart_len, gap_tol=gap_tol)

@@ -1,6 +1,6 @@
 """Parameter grids, family closure rules, and the built-in generators."""
 
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +19,8 @@ from bandflow import (
     subspace_distance,
     window_subspace,
 )
-from bandflow import families as families_module
-from bandflow.families import operator_stack, window_steps
-from bandflow.linalg import HERMITIAN_TOL_FACTOR
+from bandflow.families import _validated_stack, window_steps
+from bandflow.linalg import HERMITIAN_TOL_FACTOR, checked_stack
 
 from conftest import random_hermitian
 
@@ -572,12 +571,11 @@ def operator_lists(draw):
 
 
 @settings(max_examples=400)
-@given(operator_lists(), st.sampled_from([1, 20, families_module._BLOCK_ENTRIES]))
-def test_stack_validation_matches_per_operator_loop(case, block_entries):
+@given(operator_lists())
+def test_stack_validation_matches_per_operator_loop(case):
     ops, dim, hermitian = case
     want = stack_outcome(per_operator_stack, ops, dim, hermitian)
-    with mock.patch.object(families_module, "_BLOCK_ENTRIES", block_entries):
-        assert stack_outcome(operator_stack, ops, dim, hermitian) == want
+    assert stack_outcome(_validated_stack, ops, dim, hermitian) == want
     if len(ops) >= 2:
         grid = ParameterGrid(kind="interval_path", samples=np.linspace(0.0, 1.0, len(ops)),
                              closure="open_path")
@@ -591,12 +589,28 @@ def test_stack_validation_raises_at_the_first_bad_operator():
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="not Hermitian"):
-        operator_stack([herm, skew, nan], 2)
+        _validated_stack([herm, skew, nan], 2)
     with pytest.raises(ValidationError, match="non-finite"):
-        operator_stack([herm, nan, skew], 2)
+        _validated_stack([herm, nan, skew], 2)
     # a misfit shape is reached only after the operators before it pass
     with pytest.raises(ValidationError, match="not Hermitian"):
-        operator_stack([skew, np.ones((2, 3))], 2)
+        _validated_stack([skew, np.ones((2, 3))], 2)
     with pytest.raises(ValidationError, match="operator 1 has dim 3"):
-        operator_stack([herm, np.eye(3)], 2)
-    assert operator_stack([herm, skew], 2, hermitian=False)[1].tolist() == skew.tolist()
+        _validated_stack([herm, np.eye(3)], 2)
+    assert _validated_stack([herm, skew], 2, hermitian=False)[1].tolist() == skew.tolist()
+
+
+def test_stack_validation_allocates_little_beyond_its_result():
+    """The result's buffer is the scratch for the parts of A - A*, so a whole
+    dim-40 stack is validated without stack-sized temporaries."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((60, 40, 40)) + 1j * rng.standard_normal((60, 40, 40))
+    S = X + X.conj().transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        out = checked_stack(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == S.shape
+    assert peak <= 1.2 * S.nbytes
