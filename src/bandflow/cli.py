@@ -30,7 +30,7 @@ from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, c
 from .errors import BandflowError, SpecError
 from .families import GENERATORS, OperatorFamily, ParameterGrid, generate
 from .flow import index_chain, spectral_flow_routes
-from .linalg import Subspace, subspace_distance
+from .linalg import Subspace, subspace_distances
 from .polarize import finite_polarized_replace, flow_preservation_check
 from .sections import (
     WeakSpectralSection,
@@ -554,9 +554,8 @@ def cmd_section(args) -> int:
     result = deform_to_spectral_section(f, weak, gap_tol=args.eps_gap_tol,
                                         max_chart_len=args.max_chart_len)
     srep = {k: v for k, v in result.report.items() if k != "fixed_point"}
-    moved = max(
-        subspace_distance(a, b) for a, b in zip(weak.subspaces, result.sections)
-    )
+    moved = float(subspace_distances([V.frame for V in weak.subspaces],
+                                     [V.frame for V in result.sections]).max())
     checks = [
         {"name": "weak_section", "passed": bool(okw)},
         {"name": "discrete_spectrum", "passed": bool(okd), "value": drep},

@@ -268,23 +268,28 @@ def hermitian_eig(A) -> SpectralDecomposition:
 
 
 def window_boundary_error(lam: np.ndarray, lo, hi: float):
-    """First row of an eigenvalue table at which a window end is ambiguous.
+    """first_edge_error for the window (lo, hi), lo checked before hi.
 
-    lam is (N, n): row x holds the eigenvalues of sample x. lo is a float,
-    or an (N,) array giving the lower end row by row. A finite end of
-    (lo, hi) is ambiguous at a row when it lies within BOUNDARY_TOL_FACTOR
-    times that row's spectral radius of one of its eigenvalues. Returns
-    (row, SpectralBoundaryError naming that eigenvalue) for the first such
-    row, lo checked before hi, or None when every row clears both ends. An
-    empty window raises ValidationError at once.
+    lo is a float or an (N,) array of per-row lower ends. An empty window
+    raises ValidationError at once.
     """
     if not (np.less(lo, hi).all() if isinstance(lo, np.ndarray) else lo < hi):
         raise ValidationError(f"empty window ({lo}, {hi})")
+    return first_edge_error(lam, lo, hi)
+
+
+def first_edge_error(lam: np.ndarray, *edges):
+    """First row of the (N, n) eigenvalue table lam with an ambiguous edge.
+
+    Each edge is a float (infinite ones are skipped) or an (N,) array. An edge
+    is ambiguous at a row within BOUNDARY_TOL_FACTOR times that row's spectral
+    radius of one of its eigenvalues. Returns (row, SpectralBoundaryError
+    naming that eigenvalue), earlier edges first within a row, or None."""
     if lam.shape[1] == 0:
         return None
     tol = BOUNDARY_TOL_FACTOR * np.abs(lam).max(axis=1)
     first = None
-    for edge in (lo, hi):
+    for edge in edges:
         per_row = isinstance(edge, np.ndarray)
         if not per_row and not np.isfinite(edge):
             continue
@@ -402,30 +407,85 @@ def orthogonal_complement(V: Subspace) -> Subspace:
     return Subspace(n, fix_phases(W[:, V.dim:]))
 
 
+def _stacks(frames, *keys):
+    """Rows grouped by frame dim and the (N,) keys: (keys, rows, frame stack)."""
+    K = np.stack([[V.shape[1] for V in frames], *keys], axis=1)
+    for row in np.unique(K, axis=0):
+        xs = np.flatnonzero((K == row).all(axis=1))
+        yield row[1:].tolist(), xs, np.stack([frames[x] for x in xs])
+
+
+def _projectors(S: np.ndarray) -> np.ndarray:
+    return S @ S.conj().transpose(0, 2, 1)
+
+
+def _projector_stack(frames) -> np.ndarray:
+    """(N, n, n) projectors of N frames, one stacked matmul per frame dim."""
+    P = np.empty((len(frames),) + (frames[0].shape[0],) * 2, dtype=np.complex128)
+    for _, xs, S in _stacks(frames):
+        P[xs] = _projectors(S)
+    return P
+
+
+def subspace_distances(frames_a, frames_b) -> np.ndarray:
+    """(N,) norms of P_a - P_b over two lists of N frames, bitwise subspace_distance:
+    projectors by stacked matmul, then one stacked eigvalsh of the differences."""
+    D = _projector_stack(frames_a)
+    D -= _projector_stack(frames_b)
+    return np.abs(np.linalg.eigvalsh(D)).max(axis=1)
+
+
 def subspace_distance(V: Subspace, W: Subspace) -> float:
     """Operator norm of the projector difference P_V - P_W."""
     if V.ambient_dim != W.ambient_dim:
         raise ValidationError(
             f"ambient dims differ: {V.ambient_dim} vs {W.ambient_dim}"
         )
-    D = V.projector() - W.projector()
-    if D.shape[0] == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvalsh(D)).max())
+    return float(subspace_distances([V.frame], [W.frame])[0])
+
+
+def _inclusion_stack(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """(G,) norms of (I - P_outer) inner for stacks inner (G, n, k), outer (G, n, m)."""
+    if inner.shape[2] == 0:
+        return np.zeros(inner.shape[0])
+    R = inner - _projectors(outer) @ inner
+    return np.linalg.svd(R, compute_uv=False)[:, 0]
 
 
 def inclusion_residual(inner: Subspace, outer: Subspace) -> float:
     """Spectral norm of (I - P_outer) applied to inner's frame.
 
     Zero iff inner is contained in outer; equals the sine of the largest
-    principal angle from inner to outer.
+    principal angle from inner to outer. The one-pair case of the kernel of
+    window_inclusions.
     """
     if inner.ambient_dim != outer.ambient_dim:
         raise ValidationError("ambient dims differ")
-    if inner.dim == 0:
-        return 0.0
-    R = inner.frame - outer.projector() @ inner.frame
-    return float(np.linalg.norm(R, 2))
+    return float(_inclusion_stack(inner.frame[None], outer.frame[None])[0])
+
+
+def window_inclusions(lam: np.ndarray, F: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                      frames) -> tuple:
+    """Sandwich residuals of N frames V_x against the windows of a spectral plane.
+
+    lam (N, n) has ascending rows, so the window (a, inf) at row x is the last
+    count(lam[x] > a) columns of F[x]. Returns (ru, rl), bitwise
+    ru[x] = inclusion_residual(window(hi[x], inf), V_x) and rl[x] =
+    inclusion_residual(V_x, window(lo[x], inf)): rows sharing (dim V_x, window
+    rank) run as stacked matmuls and one stacked svd. An ambiguous edge raises
+    first_edge_error(lam, hi, lo)."""
+    hit = first_edge_error(lam, hi, lo)
+    if hit is not None:
+        raise hit[1]
+    N, n = lam.shape
+    if any(V.shape[0] != n for V in frames):
+        raise ValidationError("ambient dims differ")
+    out = (np.zeros(N), np.zeros(N))
+    for res, edge, upper in zip(out, (hi, lo), (True, False)):
+        for (m,), xs, V in _stacks(frames, (lam > edge[:, None]).sum(axis=1)):
+            W = F[xs, :, n - m:]
+            res[xs] = _inclusion_stack(W, V) if upper else _inclusion_stack(V, W)
+    return out
 
 
 def orthonormal_image(columns: np.ndarray, expect_dim: int | None = None) -> np.ndarray:

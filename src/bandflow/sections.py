@@ -10,6 +10,7 @@ control from below on the section, then from above on its complement.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,9 +29,11 @@ from .linalg import (
     Subspace,
     combination_path,
     convex_combination_image,
-    inclusion_residual,
+    first_edge_error,
     orthogonal_complement,
-    subspace_distance,
+    subspace_distances,
+    window_boundary_error,
+    window_inclusions,
 )
 
 SECTION_CONTINUITY_TOL = 0.5
@@ -102,38 +105,38 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
         raise ValidationError(f"section has {S.n_samples} samples, family has {n}")
     if S.subspaces[0].ambient_dim != f.dim:
         raise ValidationError("section ambient dimension differs from the family")
-    c = S.reference_cut
-    clear = float(np.abs(f.eigenvalues - c).min())
+    c, lam = S.reference_cut, f.eigenvalues
+    clear = float(np.abs(lam - c).min())
     report = {"cut_clearance": clear, "reason": "weak section"}
     if clear < LEVEL_CLEAR_TOL:
         report["reason"] = (
             f"reference cut {c:.12g} comes within {clear:.3e} of the sampled spectrum"
         )
         return False, report
-    defects = []
-    for x in range(n):
-        target = window_subspace(f, x, c, np.inf).dim
-        defects.append(S.subspaces[x].dim - target)
-    report["dim_defects"] = tuple(defects)
-    steps = [
-        subspace_distance(S.subspaces[x], S.subspaces[x + 1]) for x in range(n - 1)
-    ]
-    report["max_step"] = max(steps) if steps else 0.0
-    if steps and max(steps) > SECTION_CONTINUITY_TOL:
+    # target dims and deep-window ranks are counts on the plane, whose
+    # ascending rows make each window a run of frame columns
+    hit = window_boundary_error(lam, c, np.inf)
+    if hit is not None:
+        raise hit[1]
+    frames = [V.frame for V in S.subspaces]
+    dims = np.array([V.shape[1] for V in frames])
+    report["dim_defects"] = tuple((dims - (lam > c).sum(axis=1)).tolist())
+    steps = subspace_distances(frames[:-1], frames[1:])
+    report["max_step"] = float(steps.max())
+    if report["max_step"] > SECTION_CONTINUITY_TOL:
         worst = int(np.argmax(steps))
         report["reason"] = (
-            f"section jumps by {max(steps):.3f} between samples {worst} and {worst + 1}"
+            f"section jumps by {report['max_step']:.3f} between samples {worst} and {worst + 1}"
         )
         return False, report
-    glob_min = float(f.eigenvalues.min())
-    c_floor = floor if floor is not None else glob_min - 1.0
+    c_floor = floor if floor is not None else float(lam.min()) - 1.0
+    hit = window_boundary_error(lam, -np.inf, c_floor)
+    deep = (lam < c_floor).sum(axis=1)
     worst_overlap = 0.0
-    for x in range(n):
-        deep = window_subspace(f, x, -np.inf, c_floor)
-        V = S.subspaces[x]
-        if deep.dim == 0 or V.dim == 0:
-            continue
-        overlap = float(np.linalg.svd(deep.frame.conj().T @ V.frame, compute_uv=False)[0])
+    reached = n if hit is None else hit[0]  # the walk raises at an ambiguous deep edge
+    for x in np.flatnonzero((deep[:reached] > 0) & (dims[:reached] > 0)):
+        overlap = float(np.linalg.svd(f.frames[x][:, :deep[x]].conj().T @ frames[x],
+                                      compute_uv=False)[0])
         worst_overlap = max(worst_overlap, overlap)
         if overlap > 1.0 - LEVEL_CLEAR_TOL:
             report["floor_overlap"] = worst_overlap
@@ -141,6 +144,8 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
                 f"section contains a direction below the floor {c_floor:.12g} at sample {x}"
             )
             return False, report
+    if hit is not None:
+        raise hit[1]
     report["floor_overlap"] = worst_overlap
     return True, report
 
@@ -273,8 +278,11 @@ def discrete_spectrum_check(f: OperatorFamily, levels: Sequence[float],
                 f"level {lam:.12g} stays within {gap_tol:.1e} of the sampled "
                 f"spectrum throughout the nudge budget"
             )
-        ops = f.operator_stack - shifted_level * eye
-        g = OperatorFamily(grid=f.grid, dim=f.dim, operators=ops, hermitian=True)
+        # f - cI has f's frames and eigenvalues shifted by c: rows stay ascending,
+        # frames orthonormal, and the stored operators' residual against this
+        # plane is f's own, within RECON_TOL up to the rounding of c
+        g = OperatorFamily._with_plane(f.eigenvalues - shifted_level, f.frames, grid=f.grid,
+                                       dim=f.dim, operators=f.operator_stack - shifted_level * eye)
         try:
             atlas = build_atlas(g, max_chart_len=max_chart_len, gap_tol=gap_tol)
         except AtlasBuildError as exc:
@@ -286,8 +294,10 @@ def discrete_spectrum_check(f: OperatorFamily, levels: Sequence[float],
 def is_spectral_section(f: OperatorFamily, sections, radius):
     """Sandwich test: window above r inside the section, section above -r.
 
-    radius may be a scalar or a per-sample array. Returns (ok, report dict)
-    with the worst residuals and the sample where they occur.
+    radius may be a scalar or a per-sample array. One window_inclusions call
+    over the spectral plane tests every sample, with edges r and -r (the
+    first ambiguous one raises, r before -r). Returns (ok, report dict) with
+    the worst residuals and the first sample where the larger one peaks.
     """
     subs = sections.subspaces if isinstance(sections, WeakSpectralSection) else tuple(sections)
     n = f.n_samples
@@ -296,22 +306,13 @@ def is_spectral_section(f: OperatorFamily, sections, radius):
     r = np.broadcast_to(np.asarray(radius, dtype=float), (n,)).copy()
     if np.any(r <= 0):
         raise ValidationError("section radius must be positive everywhere")
-    worst_upper = worst_lower = 0.0
-    worst_sample = 0
-    for x in range(n):
-        upper = window_subspace(f, x, float(r[x]), np.inf)
-        lower = window_subspace(f, x, -float(r[x]), np.inf)
-        ru = inclusion_residual(upper, subs[x])
-        rl = inclusion_residual(subs[x], lower)
-        if max(ru, rl) > max(worst_upper, worst_lower):
-            worst_sample = x
-        worst_upper = max(worst_upper, ru)
-        worst_lower = max(worst_lower, rl)
+    ru, rl = window_inclusions(f.eigenvalues, f.frames, r, -r, [V.frame for V in subs])
+    worst_upper, worst_lower = float(ru.max()), float(rl.max())
     ok = worst_upper <= SECTION_RESIDUAL_TOL and worst_lower <= SECTION_RESIDUAL_TOL
     return ok, {
         "upper_residual": worst_upper,
         "lower_residual": worst_lower,
-        "worst_sample": worst_sample,
+        "worst_sample": int(np.argmax(np.maximum(ru, rl))),
         "max_radius": float(r.max()),
     }
 
@@ -368,25 +369,35 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     For each sample the candidate radii are the midpoints of the gaps of the
     absolute spectrum (zero prepended), tried in ascending order; only levels
     below the top of the spectrum count, since beyond it the sandwich holds
-    for any subspace and certifies nothing.
+    for any subspace and certifies nothing. Round j tests candidate j at every
+    open sample with one window_inclusions call; as in a sample-by-sample
+    search, the first sample whose candidates run out (None) or whose edge is
+    ambiguous (SpectralBoundaryError) decides.
     """
-    n = f.n_samples
+    cands = []
+    for row in f.abs_eigenvalues:
+        mids, clear = gap_midpoints(np.concatenate([[0.0], np.unique(row)]))
+        cands.append(mids[(clear >= gap_tol) & (mids > 0.0)])
+    frames, lam, n = [V.frame for V in subs], f.eigenvalues, f.n_samples
     radius = np.zeros(n)
-    for x in range(n):
-        abs_vals = np.unique(f.abs_eigenvalues[x])
-        mids, clear = gap_midpoints(np.concatenate([[0.0], abs_vals]))
-        found = None
-        for m in mids[(clear >= gap_tol) & (mids > 0.0)]:
-            upper = window_subspace(f, x, m, np.inf)
-            lower = window_subspace(f, x, -m, np.inf)
-            if (inclusion_residual(upper, subs[x]) <= SECTION_RESIDUAL_TOL
-                    and inclusion_residual(subs[x], lower) <= SECTION_RESIDUAL_TOL):
-                found = m
-                break
-        if found is None:
-            return None
-        radius[x] = found
-    return radius
+    todo, stop, err = np.arange(n), n, None  # todo holds open samples below stop
+    for j in itertools.count():
+        out = [x for x in todo if cands[x].size <= j]
+        if out:
+            stop, err, todo = out[0], None, todo[todo < out[0]]
+        if not todo.size:
+            break
+        m = np.array([cands[x][j] for x in todo])
+        hit = first_edge_error(lam[todo], m, -m)
+        if hit is not None:
+            stop, err, todo, m = todo[hit[0]], hit[1], todo[:hit[0]], m[:hit[0]]
+        ru, rl = window_inclusions(lam[todo], f.frames[todo], m, -m, [frames[x] for x in todo])
+        found = (ru <= SECTION_RESIDUAL_TOL) & (rl <= SECTION_RESIDUAL_TOL)
+        radius[todo[found]] = m[found]
+        todo = todo[~found]
+    if err is not None:
+        raise err
+    return None if stop < n else radius
 
 
 def _pick_chart_levels(f: OperatorFamily, atlas: Atlas, sections, cap: float,
@@ -471,12 +482,8 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
                 raise ValidationError(f"homotopy parameter {s} outside [0, 1]")
             return subs_in[x]
 
-        ok, rep = is_spectral_section(f, subs_in, fp)
-        if not ok:
-            raise ModelViolationError(
-                f"fixed-point certificate contradicts the sandwich test: {rep}"
-            )
-        rep = dict(rep)
+        # the same kernel certified fp, so the sandwich holds; only the report is new
+        _, rep = is_spectral_section(f, subs_in, fp)
         rep["fixed_point"] = True
         return DeformationResult(
             sections=subs_in,
@@ -532,7 +539,7 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
 
     chains2, weights2 = [], []
     final = []
-    mu_perp = np.zeros(n)
+    mu_perp, top, bottom = np.zeros(n), np.zeros(n), np.zeros(n)
     for x in range(n):
         active = pou.active_charts(x)
         order = sorted(active, key=lambda i: (-nu_perp[i], i))
@@ -544,9 +551,9 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
         chains2.append(chain)
         weights2.append(w)
         mu_perp[x] = float(np.dot(pou.plateaus[:, x], nu_perp))
-        top = max(nu_perp[i] for i in active)
-        bottom = min(nu[i] for i in active)
-        if mu_perp[x] < top - 1e-12:
+        top[x] = max(nu_perp[i] for i in active)
+        bottom[x] = min(nu[i] for i in active)
+        if mu_perp[x] < top[x] - 1e-12:
             raise ModelViolationError(
                 f"upper control envelope undercuts an active level at sample {x}"
             )
@@ -554,13 +561,18 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
             raise ModelViolationError(
                 f"deformation changed the section dimension at sample {x}"
             )
-        res_up = inclusion_residual(window_subspace(f, x, top, np.inf), M)
-        res_dn = inclusion_residual(M, window_subspace(f, x, bottom, np.inf))
-        if max(res_up, res_dn) > SECTION_RESIDUAL_TOL:
-            raise ModelViolationError(
-                f"pinch inclusions fail at sample {x}: "
-                f"residuals {res_up:.3e}, {res_dn:.3e}"
-            )
+
+    # pinch inclusions: window above the top active nu_perp inside M, and
+    # M inside the window above the bottom active nu
+    res_up, res_dn = window_inclusions(f.eigenvalues, f.frames, top, bottom,
+                                       [M.frame for M in final])
+    bad = np.flatnonzero(np.maximum(res_up, res_dn) > SECTION_RESIDUAL_TOL)
+    if bad.size:
+        x = bad[0]
+        raise ModelViolationError(
+            f"pinch inclusions fail at sample {x}: "
+            f"residuals {res_up[x]:.3e}, {res_dn[x]:.3e}"
+        )
 
     radius = np.zeros(n)
     for x in range(n):

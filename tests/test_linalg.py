@@ -24,6 +24,7 @@ from bandflow.linalg import (
     fix_phases,
     inclusion_residual,
     orthonormal_image,
+    subspace_distances,
     svd_matched,
 )
 from conftest import random_complex, random_hermitian, random_subspace
@@ -238,6 +239,22 @@ def test_inclusion_residual_semantics():
     th = 0.25
     tilted = span([np.cos(th), 0, np.sin(th)])
     assert abs(inclusion_residual(tilted, outer) - abs(np.sin(th))) < 1e-12
+
+
+@given(st.integers(0, 10_000))
+def test_stacked_distances_and_inclusions_match_the_one_pair_formulas(seed):
+    # the per-pair formulas written out: projector difference norm by
+    # eigvalsh, inclusion residual as the 2-norm of (I - P_outer) inner
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    A = [random_subspace(rng, n, int(rng.integers(0, n + 1))) for _ in range(6)]
+    B = [random_subspace(rng, n, int(rng.integers(0, n + 1))) for _ in range(6)]
+    d = subspace_distances([V.frame for V in A], [W.frame for W in B])
+    for k, (V, W) in enumerate(zip(A, B)):
+        want = float(np.abs(np.linalg.eigvalsh(V.projector() - W.projector())).max())
+        assert d[k] == subspace_distance(V, W) == want
+        R = V.frame - W.projector() @ V.frame
+        assert inclusion_residual(V, W) == (float(np.linalg.norm(R, 2)) if V.dim else 0.0)
 
 
 def test_zero_subspace_first_class():

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import bandflow.families as families_module
+import bandflow.linalg as linalg_module
 from bandflow import (
     AdaptedChart,
     Atlas,
     OperatorFamily,
     ParameterGrid,
     PartitionOfUnity,
+    SpectralBoundaryError,
     Subspace,
     ValidationError,
     WeakSpectralSection,
@@ -25,7 +30,10 @@ from bandflow import (
     weak_section_check,
     window_subspace,
 )
-from bandflow.linalg import inclusion_residual
+from bandflow.atlas import DEFAULT_GAP_TOL, gap_midpoints
+from bandflow.linalg import first_edge_error, inclusion_residual, window_inclusions
+from bandflow.sections import SECTION_RESIDUAL_TOL, _fixed_point_radius
+from conftest import random_subspace
 
 
 def constant_family(diagonal, samples=3):
@@ -278,6 +286,157 @@ def test_sandwich_radius_validation():
         is_spectral_section(f, subs, 0.0)
     with pytest.raises(ValidationError, match="subspaces for"):
         is_spectral_section(f, subs[:2], 0.5)
+
+
+def reference_inclusions(f, hi, lo, subs):
+    """The sandwich residuals one sample and one window subspace at a time:
+    (ru, rl), or (sample, error) for the first ambiguous edge."""
+    ru, rl = np.zeros(f.n_samples), np.zeros(f.n_samples)
+    for x in range(f.n_samples):
+        try:
+            upper = window_subspace(f, x, hi[x], np.inf)
+            lower = window_subspace(f, x, lo[x], np.inf)
+        except SpectralBoundaryError as exc:
+            return x, exc
+        ru[x] = inclusion_residual(upper, subs[x])
+        rl[x] = inclusion_residual(subs[x], lower)
+    return ru, rl
+
+
+@given(dim=st.integers(1, 6), samples=st.integers(2, 8), seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["zero", "full", "mixed"]),
+       on_edge=st.sampled_from([(), ("hi",), ("lo",), ("hi", "lo")]))
+def test_window_inclusions_match_the_per_sample_loop(dim, samples, seed, kind, on_edge):
+    rng = np.random.default_rng(seed)
+    f = generate("random_smooth", dim=dim, seed=seed, samples=samples)
+    lam, F = f.eigenvalues, f.frames
+    subs = []
+    for x in range(samples):
+        k = {"zero": 0, "full": dim}.get(kind, int(rng.integers(0, dim + 1)))
+        if rng.random() < 0.5:  # top eigenvectors, as a non-contiguous view of the plane
+            subs.append(Subspace(dim, F[x][:, dim - k:]))
+        else:
+            subs.append(random_subspace(rng, dim, k))
+    hi = rng.uniform(0.01, 2.0, samples)
+    lo = -rng.uniform(0.01, 2.0, samples)
+    for edge in on_edge:
+        target = hi if edge == "hi" else lo
+        x = int(rng.integers(samples))
+        target[x] = lam[x, int(rng.integers(dim))]
+    ref = reference_inclusions(f, hi, lo, subs)
+    if isinstance(ref[1], SpectralBoundaryError):
+        with pytest.raises(SpectralBoundaryError) as err:
+            window_inclusions(lam, F, hi, lo, [V.frame for V in subs])
+        assert str(err.value) == str(ref[1])
+        assert first_edge_error(lam, hi, lo)[0] == ref[0]
+        return
+    ru, rl = window_inclusions(lam, F, hi, lo, [V.frame for V in subs])
+    assert (ru == ref[0]).all() and (rl == ref[1]).all()
+
+
+@given(dim=st.integers(1, 5), seed=st.integers(0, 10_000))
+def test_sandwich_report_matches_the_per_sample_loop(dim, seed):
+    rng = np.random.default_rng(seed)
+    f = generate("random_smooth", dim=dim, seed=seed, samples=8)
+    subs = [random_subspace(rng, dim, int(rng.integers(0, dim + 1))) for _ in range(8)]
+    r = rng.uniform(0.01, 2.0, 8)
+    ru, rl = reference_inclusions(f, r, -r, subs)
+    worst_upper = worst_lower = 0.0
+    worst_sample = 0
+    for x in range(8):
+        if max(ru[x], rl[x]) > max(worst_upper, worst_lower):
+            worst_sample = x
+        worst_upper, worst_lower = max(worst_upper, ru[x]), max(worst_lower, rl[x])
+    ok, report = is_spectral_section(f, subs, r)
+    assert report == {"upper_residual": worst_upper, "lower_residual": worst_lower,
+                      "worst_sample": worst_sample, "max_radius": r.max()}
+    assert ok == (max(worst_upper, worst_lower) <= SECTION_RESIDUAL_TOL)
+
+
+def test_window_inclusions_raise_the_upper_edge_first_at_a_sample():
+    f = constant_family([-0.5, 0.5, 2.0])
+    subs = [V.frame for V in make_weak_section(f, cut=0.0).subspaces]
+    edge = np.full(f.n_samples, 1.0)
+    hi, lo = edge.copy(), -edge
+    hi[2], lo[1], lo[2] = 2.0, -0.5, -0.5
+    with pytest.raises(SpectralBoundaryError, match="eigenvalue -0.5 sits at window endpoint -0.5"):
+        window_inclusions(f.eigenvalues, f.frames, hi, lo, subs)
+    lo[1] = -1.0
+    with pytest.raises(SpectralBoundaryError, match="eigenvalue 2 sits at window endpoint 2"):
+        window_inclusions(f.eigenvalues, f.frames, hi, lo, subs)
+
+
+def reference_fixed_point_radius(f, subs, gap_tol):
+    """The sample-by-sample search the rounds of _fixed_point_radius replace."""
+    radius = np.zeros(f.n_samples)
+    for x in range(f.n_samples):
+        mids, clear = gap_midpoints(np.concatenate([[0.0], np.unique(f.abs_eigenvalues[x])]))
+        for m in mids[(clear >= gap_tol) & (mids > 0.0)]:
+            upper = window_subspace(f, x, m, np.inf)
+            lower = window_subspace(f, x, -m, np.inf)
+            if (inclusion_residual(upper, subs[x]) <= SECTION_RESIDUAL_TOL
+                    and inclusion_residual(subs[x], lower) <= SECTION_RESIDUAL_TOL):
+                radius[x] = m
+                break
+        else:
+            return None
+    return radius
+
+
+def fixed_point_outcome(search, f, subs, gap_tol):
+    try:
+        return search(f, subs, gap_tol)
+    except SpectralBoundaryError as exc:
+        return str(exc)
+
+
+@given(dim=st.integers(1, 5), seed=st.integers(0, 10_000),
+       cut=st.sampled_from([-0.3, 0.0, 0.2]), tilt=st.sampled_from([0.0, 1e-9, 0.3]),
+       gap_tol=st.sampled_from([0.0, DEFAULT_GAP_TOL, 0.05]), loop=st.booleans())
+def test_fixed_point_rounds_match_the_sequential_search(dim, seed, cut, tilt, gap_tol, loop):
+    f = generate("random_smooth", dim=dim, seed=seed, samples=12, loop=loop)
+    subs = tilt_section(f, make_weak_section(f, cut), tilt).subspaces
+    got = fixed_point_outcome(_fixed_point_radius, f, subs, gap_tol)
+    want = fixed_point_outcome(reference_fixed_point_radius, f, subs, gap_tol)
+    if want is None or isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("hit_first", [False, True])
+def test_fixed_point_earliest_sample_decides(hit_first):
+    # one sample runs out of candidates after three rounds; the other meets
+    # an ambiguous edge (|eigenvalues| 1 and 1 + 1e-10) in round two
+    runs_out = np.diag([-2.0, -1.0, 0.5])
+    ambiguous = np.diag([-(1.0 + 1e-10), 1.0, 3.0])
+    ops = (ambiguous, runs_out) if hit_first else (runs_out, ambiguous)
+    grid = ParameterGrid(kind="interval_path", samples=np.array([0.0, 1.0]), closure="open_path")
+    f = OperatorFamily(grid=grid, dim=3, operators=tuple(o.astype(np.complex128) for o in ops))
+    subs = [Subspace(3, f.frames[x][:, :1]) for x in range(2)]
+    want = fixed_point_outcome(reference_fixed_point_radius, f, subs, 0.0)
+    assert fixed_point_outcome(_fixed_point_radius, f, subs, 0.0) == want
+    assert (want is not None and "sits at window endpoint" in want) == hit_first
+
+
+def test_sandwich_and_fixed_point_build_no_window_subspaces(monkeypatch):
+    f = sine_loop()
+    flat = make_weak_section(f, cut=1.5)
+    tilted = tilt_section(f, flat, angle=0.2)
+    calls = []
+    projection = families_module.spectral_projection
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return projection(*args, **kwargs)
+
+    monkeypatch.setattr(families_module, "spectral_projection", counted)
+    monkeypatch.setattr(linalg_module, "spectral_projection", counted)
+    assert is_spectral_section(f, flat, 1.2)[0]
+    assert not is_spectral_section(f, tilted, 1.2)[0]
+    assert _fixed_point_radius(f, flat.subspaces, DEFAULT_GAP_TOL) is not None
+    assert _fixed_point_radius(f, tilted.subspaces, DEFAULT_GAP_TOL) is None
+    assert calls == []
 
 
 # ------------------------------------------------- deformation: fixed points
