@@ -10,7 +10,12 @@ JSON text comes from one recursive encoder whose output is exactly
 json.dumps(..., indent=2, sort_keys=True) of the nested-list form of the
 data. It takes numpy arrays as they are: a real float array is written a
 row at a time from one tolist(), with no per-entry conversion, which keeps
-the sampled family that polarize writes cheap.
+the sampled family that polarize writes cheap. The encoder hands its chunks
+straight to the open file, so no copy of a whole file's text is ever held.
+
+JSON input, the spec and the section file, goes through one reader: a
+nesting guard over the raw bytes, then orjson, which parses the bytes in
+compiled code and rounds every decimal to the nearest double.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas, cover_category
@@ -107,25 +113,25 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _float_rows(rows: list, depth: int, nl: str, out: list, fmt) -> None:
-    """Append nested lists of floats, depth levels deep, one chunk per row."""
+def _float_rows(rows: list, depth: int, nl: str, write, fmt) -> None:
+    """Write nested lists of floats, depth levels deep, one chunk per row."""
     if not rows:
-        out.append("[]")
+        write("[]")
         return
     inner = nl + _INDENT
     if depth == 1:
-        out.append("[" + inner + ("," + inner).join(map(fmt, rows)) + nl + "]")
+        write("[" + inner + ("," + inner).join(map(fmt, rows)) + nl + "]")
         return
     sep = "[" + inner
     for row in rows:
-        out.append(sep)
-        _float_rows(row, depth - 1, inner, out, fmt)
+        write(sep)
+        _float_rows(row, depth - 1, inner, write, fmt)
         sep = "," + inner
-    out.append(nl + "]")
+    write(nl + "]")
 
 
-def _encode(obj, nl: str, out: list) -> None:
-    """Append the JSON text of obj to out; nl is a newline plus obj's indent.
+def _encode(obj, nl: str, write) -> None:
+    """Pass the JSON text of obj to write in chunks; nl is a newline plus obj's indent.
 
     The text is what json.dumps(..., indent=2, sort_keys=True) gives for the
     nested-list form of obj: keys turned into strings and sorted, numpy
@@ -133,61 +139,66 @@ def _encode(obj, nl: str, out: list) -> None:
     {"im": ..., "re": ...}. Real float arrays are written a row at a time.
     """
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        write(_quote(obj))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_float_text(float(obj)))
+        write(_float_text(float(obj)))
     elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
+        write(int.__repr__(int(obj)))
     elif obj is None:
-        out.append("null")
+        write("null")
     elif isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            write("{}")
             return
         items = {str(k): v for k, v in obj.items()}
         inner = nl + _INDENT
         sep = "{" + inner
         for key in sorted(items):
-            out.append(sep + _quote(key) + ": ")
-            _encode(items[key], inner, out)
+            write(sep + _quote(key) + ": ")
+            _encode(items[key], inner, write)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("[]")
+            write("[]")
             return
         inner = nl + _INDENT
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _encode(v, inner, out)
+            write(sep)
+            _encode(v, inner, write)
             sep = "," + inner
-        out.append(nl + "]")
+        write(nl + "]")
     elif isinstance(obj, np.ndarray):
         if obj.ndim == 0:
             raise TypeError("a 0-d array is not a JSON list")
         if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
             fmt = float.__repr__ if np.isfinite(obj).all() else _float_text
-            _float_rows(obj.tolist(), obj.ndim, nl, out, fmt)
+            _float_rows(obj.tolist(), obj.ndim, nl, write, fmt)
         else:
-            _encode(obj.tolist(), nl, out)
+            _encode(obj.tolist(), nl, write)
     elif isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
-        _encode({"im": z.imag, "re": z.real}, nl, out)
+        _encode({"im": z.imag, "re": z.real}, nl, write)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, obj) -> str:
-    """Write obj as JSON under the serialization rules; returns the text."""
-    out = []
-    _encode(obj, "\n", out)
-    out.append("\n")
-    text = "".join(out)
-    path.write_text(text)
-    return text
+def _write_json(path: Path, obj, echo=None) -> None:
+    """Write obj as JSON under the serialization rules, chunk by chunk.
+
+    echo, a text stream, gets the same chunks as the file.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write = fh.write
+        if echo is not None:
+            def write(chunk: str) -> None:
+                fh.write(chunk)
+                echo.write(chunk)
+        _encode(obj, "\n", write)
+        write("\n")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -201,6 +212,51 @@ def _write_csv(path: Path, header: list, rows) -> None:
                 cells.append(str(v))
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# JSON input
+
+# Valid specs and section files nest 6 levels deep; the guard keeps deep
+# input away from orjson, which has no recursion limit of its own.
+MAX_JSON_DEPTH = 64
+
+_NOT_NESTING = bytes(b for b in range(256) if b not in b'[]{}"')
+_NESTING_STEP = np.zeros(256, dtype=np.int8)
+_NESTING_STEP[list(b"[{")] = 1
+_NESTING_STEP[list(b"]}")] = -1
+
+
+def _nesting_depth(raw: bytes) -> int:
+    """Deepest bracket nesting of the JSON text raw, without a Python loop.
+
+    Escaped backslashes and quotes are dropped, then every byte but []{}";
+    quote parity marks the brackets inside strings. The result is the
+    lexical depth of valid JSON; on other bytes it is never below the depth
+    reached before the first lexical error.
+    """
+    if b"\\" in raw:
+        raw = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = np.frombuffer(raw.translate(None, _NOT_NESTING), dtype=np.uint8)
+    step = _NESTING_STEP[marks]
+    step[np.logical_xor.accumulate(marks == ord('"'))] = 0
+    return int(np.cumsum(step).max(initial=0))
+
+
+def _read_json(raw: bytes, where: str):
+    """The value of the JSON text raw; where prefixes the error message.
+
+    raw must be RFC 8259 JSON in UTF-8, at most MAX_JSON_DEPTH levels deep.
+    orjson rejects NaN and Infinity, numbers beyond the double range, lone
+    surrogates and a byte order mark, and reads an integer beyond 64 bits
+    as a float.
+    """
+    if _nesting_depth(raw) > MAX_JSON_DEPTH:
+        raise SpecError(f"{where}: malformed JSON: nested deeper than {MAX_JSON_DEPTH} levels")
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
+        raise SpecError(f"{where}: malformed JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +316,11 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
                 f"spec.polarized_bands: expected a pair [m_minus, m_plus], got {bands!r}"
             ) from exc
         bands = (m_minus, m_plus)
+    hermitian = spec.get("hermitian", True)
+    if not isinstance(hermitian, bool):
+        raise SpecError(f"spec.hermitian: expected true or false, got {hermitian!r}")
     try:
-        return OperatorFamily(grid=grid, dim=dim, operators=ops,
-                              hermitian=bool(spec.get("hermitian", True)),
+        return OperatorFamily(grid=grid, dim=dim, operators=ops, hermitian=hermitian,
                               polarized_bands=bands)
     except BandflowError as exc:
         raise SpecError(f"{where}: {exc}") from exc
@@ -287,7 +345,8 @@ def _parse_generator(spec: dict, seed: int | None) -> tuple:
         params["seed"] = seed
     try:
         return generate(name, **params), seed
-    except BandflowError as exc:
+    except (BandflowError, ValueError) as exc:
+        # generate already turns a TypeError into a ValidationError
         raise SpecError(f"spec.params: {exc}") from exc
 
 
@@ -303,10 +362,7 @@ def load_family_spec(path, seed: int | None = None) -> tuple:
         raw = p.read_bytes()
     except OSError as exc:
         raise SpecError(f"spec: cannot read {p}: {exc}") from exc
-    try:
-        spec = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SpecError(f"spec: malformed JSON in {p}: {exc}") from exc
+    spec = _read_json(raw, f"spec: {p}")
     if not isinstance(spec, dict):
         raise SpecError("spec: top level must be an object")
     if "generator" in spec:
@@ -340,13 +396,15 @@ def _section_frame(cols, dim: int, where: str) -> np.ndarray:
     return frame
 
 
-def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
+def _load_section_file(path, f: OperatorFamily) -> tuple:
+    """(weak section, raw file bytes) of a section file for the family f."""
     p = Path(path)
     where = "section"
     try:
-        obj = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"{where}: cannot parse {p}: {exc}") from exc
+        raw = p.read_bytes()
+    except OSError as exc:
+        raise SpecError(f"{where}: cannot read {p}: {exc}") from exc
+    obj = _read_json(raw, f"{where}: {p}")
     if not isinstance(obj, dict):
         raise SpecError(f"{where}: top level must be an object")
     cut = _require(obj, "reference_cut", where)
@@ -371,7 +429,7 @@ def _load_section_file(path, f: OperatorFamily) -> WeakSpectralSection:
             subs.append(Subspace(f.dim, mat))
         except BandflowError as exc:
             raise SpecError(f"{at}: {exc}") from exc
-    return WeakSpectralSection(subspaces=tuple(subs), reference_cut=cut)
+    return WeakSpectralSection(subspaces=tuple(subs), reference_cut=cut), raw
 
 
 def _load(args, keys) -> tuple:
@@ -404,7 +462,7 @@ def _write_report(out: Path, command: str, raw: bytes, opts: dict, checks: list,
         "version": __version__,
     }
     out.mkdir(parents=True, exist_ok=True)
-    sys.stdout.write(_write_json(out / f"{command}_report.json", report))
+    _write_json(out / f"{command}_report.json", report, echo=sys.stdout)
     return EXIT_OK if all(c["passed"] for c in checks) else EXIT_ERROR
 
 
@@ -540,9 +598,9 @@ def cmd_section(args) -> int:
     # Deformation path: section from file, or the tautological one above a
     # level picked from the widest spectral gap.
     if args.section_file:
-        weak = _load_section_file(args.section_file, f)
+        weak, section_raw = _load_section_file(args.section_file, f)
         # the file's bytes enter inputs_digest, its path does not
-        opts["section_file"] = hashlib.sha256(Path(args.section_file).read_bytes()).hexdigest()
+        opts["section_file"] = hashlib.sha256(section_raw).hexdigest()
     else:
         levels = default_level_grid(f)
         cut = min(levels, key=lambda c: abs(c))

@@ -60,7 +60,9 @@ class ParameterGrid:
 
     def __post_init__(self):
         t = np.asarray(self.samples, dtype=float)
-        if t.ndim != 1 or t.size < 2:
+        if t.ndim != 1:
+            raise ValidationError(f"grid samples must be a flat list of numbers, got shape {t.shape}")
+        if t.size < 2:
             raise ValidationError("grid needs at least two samples")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("grid samples must be strictly increasing")
@@ -335,6 +337,8 @@ def _crossing(k: int = 1, m: int = 1, samples: int = 101) -> OperatorFamily:
 
 def _rotation(m: int = 1, turns: float = 1.0, samples: int = 120) -> OperatorFamily:
     """Conjugation of diag(-1, 1) by an in-plane rotation; spectrum constant."""
+    if m < 0:
+        raise ValidationError("need m >= 0")
     t = np.linspace(0.0, 1.0, samples)
     theta = 2.0 * math.pi * turns * t
     dim = 2 + m
@@ -361,6 +365,8 @@ def _truncated_shift_flow(N: int = 3, samples: int = 101) -> OperatorFamily:
     """
     if N < 1:
         raise ValidationError("need N >= 1")
+    if samples < 2:
+        raise ValidationError("need samples >= 2")
     h = 1.0 / (samples - 1)
     t = np.linspace(0.0, 1.0, samples) + 0.5 * h
     levels = np.arange(-N, N + 1, dtype=float)
@@ -372,6 +378,8 @@ def _random_smooth(dim: int = 5, seed: int = 0, samples: int = 200,
                    loop: bool = False, harmonics: int = 3,
                    drift: float = 0.8) -> OperatorFamily:
     """Trigonometric-polynomial Hermitian family with controlled step size."""
+    if samples < 2:
+        raise ValidationError("need samples >= 2")
     rng = np.random.default_rng(seed)
 
     def rand_herm(scale):

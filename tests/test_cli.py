@@ -1,8 +1,12 @@
 """Command line pipelines: specs in, deterministic reports and tables out."""
 
+import contextlib
+import inspect
+import io
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import bandflow.linalg
 from bandflow import (
+    GENERATORS,
     band_identity_check,
     finite_polarized_replace,
     generate,
@@ -128,17 +133,57 @@ def _sampled_spec(dim=2, **top):
     return {"sampled": {"dim": dim, "grid": grid, "matrices": {"real": real}}, **top}
 
 
+def _nested_grid_spec():
+    spec = _sampled_spec()
+    grid = spec["sampled"]["grid"]
+    grid["samples"] = [[t] for t in grid["samples"]]
+    return spec
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"generator": "crossing", "params": [1]}, "spec.params"),
     (_sampled_spec(polarized_bands=[1]), "spec.polarized_bands"),
     (_sampled_spec(dim="2"), "spec.sampled.dim"),
-], ids=["params-not-object", "bands-not-pair", "dim-string"])
+    ({"generator": "random_smooth", "params": {"seed": -1}}, "spec.params"),
+    ({"generator": "random_smooth", "params": {"seed": 2**64}}, "spec.params"),
+    ({"generator": "crossing", "params": {"samples": -3}}, "spec.params"),
+    ({"generator": "crossing", "params": {"wiggle": 1}}, "spec.params"),
+    ({"generator": "truncated_shift_flow", "params": {"samples": 1}}, "spec.params"),
+    ({"generator": "random_smooth", "params": {"samples": 0, "loop": True}}, "spec.params"),
+    ({"generator": "rotation", "params": {"m": -1}}, "spec.params"),
+    (_sampled_spec(hermitian="false"), "spec.hermitian"),
+    (_nested_grid_spec(), "spec.sampled.grid"),
+], ids=["params-not-object", "bands-not-pair", "dim-string", "seed-negative",
+        "seed-beyond-64-bits", "samples-negative", "unknown-param", "one-sample",
+        "no-samples-loop", "spectators-negative", "hermitian-string", "grid-nested"])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec, field):
     code, out = run(tmp_path, spec, ["flow"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"spec error: {field}:")
     assert not out.exists()
+
+
+def test_nested_grid_samples_name_their_fault(tmp_path, capsys):
+    code, _ = run(tmp_path, _nested_grid_spec(), ["flow"])
+    assert code == 1
+    assert "flat list of numbers" in capsys.readouterr().err
+
+
+_PARAM_VALUES = st.sampled_from([-3, -1, 0, 1, 2, 3, 7, 0.5, -0.5, 2.0, 1e-300, 2**64,
+                                 "x", "", None, True, False, [1], {}])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.data())
+def test_generator_params_never_end_in_a_traceback(tmp_path_factory, name, data):
+    keys = sorted(inspect.signature(GENERATORS[name]).parameters) + ["bogus"]
+    chosen = data.draw(st.lists(st.sampled_from(keys), unique=True))
+    params = {k: data.draw(_PARAM_VALUES) for k in chosen}
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run(tmp_path, {"generator": name, "params": params}, ["flow"])
+    assert code in (0, 1)
 
 
 def test_flow_runs_the_documented_sampled_example(tmp_path):
@@ -461,7 +506,9 @@ def test_section_file_entries_keep_signed_zeros_and_integers(tmp_path):
     f, _, _ = load_family_spec(write_spec(tmp_path, _sampled_spec()))
     path = tmp_path / "section.json"
     path.write_text(json.dumps({"reference_cut": 0.5, "subspaces": [{"columns": [column]}] * 3}))
-    frame = _load_section_file(path, f).subspaces[0].frame
+    weak, raw = _load_section_file(path, f)
+    assert raw == path.read_bytes()
+    frame = weak.subspaces[0].frame
     expected = np.array([[complex(-0.0, 1)], [complex(0, -0.0)]])
     assert frame.flags.c_contiguous
     assert np.array_equal(frame.view(np.float64), expected.view(np.float64))
@@ -613,7 +660,7 @@ def _jsonable(obj):
 
 def _encoded(obj) -> str:
     out = []
-    _encode(obj, "\n", out)
+    _encode(obj, "\n", out.append)
     return "".join(out)
 
 
@@ -670,8 +717,28 @@ def test_json_writer_matches_indented_json_dumps(obj):
     assert _encoded(obj) == expected
 
 
-def test_json_writer_writes_the_report_text(tmp_path):
+def test_json_writer_writes_the_report_text(tmp_path, capsys):
     obj = {"a": np.arange(6.0).reshape(2, 3), 2: [np.int32(4), None, "é"], "z": 1j}
-    text = _write_json(tmp_path / "x.json", obj)
-    assert text == json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    _write_json(tmp_path / "x.json", obj, echo=sys.stdout)
+    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "x.json").read_bytes() == text.encode("ascii")
+    assert capsys.readouterr().out == text
+
+
+def test_json_writer_holds_no_copy_of_the_file(tmp_path):
+    """A (180, 40, 40) family streams out under 1.3x its file size.
+
+    Joining the chunks into one string and encoding it takes two copies of
+    the text, at least 2x the file size, on top of the row chunks.
+    """
+    rng = np.random.default_rng(0)
+    ops = rng.standard_normal((180, 40, 40)) + 1j * rng.standard_normal((180, 40, 40))
+    family = {"sampled": {"dim": 40, "matrices": {"imag": ops.imag, "real": ops.real}}}
+    path = tmp_path / "family.json"
+    tracemalloc.start()
+    try:
+        _write_json(path, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * path.stat().st_size
