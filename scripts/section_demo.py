@@ -19,8 +19,7 @@ from bandflow import (
 
 def pick_cut(f):
     """Gap level with the most clearance from every sampled eigenvalue."""
-    pooled = np.sort(np.concatenate(
-        [f.eigen(x).eigenvalues for x in range(f.n_samples)]))
+    pooled = np.sort(f.eigenvalues, axis=None)
     levels = default_level_grid(f)
     clearance = [float(np.abs(pooled - lv).min()) for lv in levels]
     best = int(np.argmax(clearance))

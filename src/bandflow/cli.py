@@ -275,9 +275,11 @@ def _parse_grid(obj, where: str) -> ParameterGrid:
     samples = _require(obj, "samples", where)
     closure = _require(obj, "closure", where)
     shift = obj.get("shift", 0)
+    if type(shift) is not int:  # a JSON integer: no float, no bool
+        raise SpecError(f"{where}: shift must be an integer, got {shift!r}")
     try:
         return ParameterGrid(kind=kind, samples=np.asarray(samples, dtype=float),
-                             closure=closure, shift=int(shift))
+                             closure=closure, shift=shift)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
 
@@ -287,7 +289,7 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
     if not isinstance(obj, dict):
         raise SpecError(f"{where}: expected an object")
     dim = _require(obj, "dim", where)
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise SpecError(f"{where}.dim: expected a positive integer, got {dim!r}")
     grid = _parse_grid(_require(obj, "grid", where), where + ".grid")
     mats = _require(obj, "matrices", where)
@@ -309,13 +311,10 @@ def _parse_sampled(obj, spec: dict) -> OperatorFamily:
     ops += real
     bands = spec.get("polarized_bands")
     if bands is not None:
-        try:
-            m_minus, m_plus = (int(b) for b in bands)
-        except (TypeError, ValueError) as exc:
-            raise SpecError(
-                f"spec.polarized_bands: expected a pair [m_minus, m_plus], got {bands!r}"
-            ) from exc
-        bands = (m_minus, m_plus)
+        if type(bands) is not list or len(bands) != 2 or {type(m) for m in bands} != {int}:
+            raise SpecError(f"spec.polarized_bands: expected a pair of integers "
+                            f"[m_minus, m_plus], got {bands!r}")
+        bands = tuple(bands)
     hermitian = spec.get("hermitian", True)
     if not isinstance(hermitian, bool):
         raise SpecError(f"spec.hermitian: expected true or false, got {hermitian!r}")

@@ -10,7 +10,7 @@ The operators of a family live in one contiguous (N, n, n) stack. Its
 spectral data live in one plane, built on first use by a single batched
 eigensolve over the whole stack: the (N, n) eigenvalue table, the (N, n, n)
 eigenvector frames and the row-sorted table of absolute eigenvalues. Every
-per-sample eigendecomposition, and the band-continuity walk, reads from it.
+spectral window, and the band-continuity walk, reads from it.
 A family derived from a solved one, such as a rescaling or a function of
 its operators, can be handed its plane in closed form instead.
 
@@ -35,8 +35,8 @@ from .linalg import (
     as_square_matrix,
     checked_stack,
     hermitian_eig_stack,
-    spectral_projection,
     window_boundary_error,
+    window_columns,
 )
 
 # Entrywise agreement required of the two endpoint operators of an exact loop.
@@ -80,10 +80,6 @@ class ParameterGrid:
     def n_samples(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def is_loop(self) -> bool:
-        return self.closure != "open_path"
-
 
 @dataclass(frozen=True, eq=False)
 class ContinuityReport:
@@ -119,8 +115,9 @@ class OperatorFamily:
     plane (eigenvalue table, frames, row-sorted absolute eigenvalues) is
     computed for the whole stack at once, by one hermitian_eig_stack call,
     the first time any spectral data is asked for (at construction when
-    frozen bands are declared, since they are checked against it); eigen(i)
-    returns views into it.
+    frozen bands are declared, since they are checked against it). A window
+    is a run of frame columns, read by window_columns; eigen(i) is the
+    public one-sample view into the plane.
     """
 
     grid: ParameterGrid
@@ -258,9 +255,10 @@ class OperatorFamily:
 
 
 def window_subspace(f: OperatorFamily, sample_index: int, a: float, b: float) -> Subspace:
-    """Span of eigenvectors at one sample with eigenvalues strictly in (a, b)."""
-    dec = f.eigen(sample_index)
-    return spectral_projection(f.operators[sample_index], a, b, decomp=dec)
+    """Span of eigenvectors at one sample with eigenvalues strictly in (a, b):
+    a run of the plane's frame columns, as window_columns reads it."""
+    (lo,), (hi,) = window_columns(f.eigenvalues[sample_index][None], a, b)
+    return Subspace(f.dim, f.frames[sample_index][:, lo:hi])
 
 
 def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
@@ -270,7 +268,7 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     projectors, as subspace_distance gives it up to roundoff. The projectors
     of the whole range, and the eigenvalues of their consecutive differences,
     are computed at once. A window edge that sits on an eigenvalue raises
-    spectral_projection's SpectralBoundaryError, but only once the walk
+    window_boundary_error's SpectralBoundaryError, but only once the walk
     reaches that sample, so a caller that stops at the first large step
     raises nothing beyond it.
     """

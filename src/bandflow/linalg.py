@@ -40,8 +40,6 @@ RANK_TOL_FACTOR = 1e-10
 INJ_TOL = 1e-8
 # Residual allowed in A @ frame = frame @ diag(eigenvalues).
 RECON_TOL = 1e-9
-# Operator-identity slack for the telescoped convex-combination check.
-COMBINATION_IDENTITY_TOL = 1e-10
 
 _PHASE_TOL = 1e-9
 
@@ -307,24 +305,30 @@ def first_edge_error(lam: np.ndarray, *edges):
     return first
 
 
-def spectral_projection(A, lo: float, hi: float, decomp: SpectralDecomposition | None = None) -> Subspace:
+def window_columns(lam: np.ndarray, lo: float, hi: float) -> tuple:
+    """Frame-column runs of the window (lo, hi) over an (N, n) eigenvalue table.
+
+    Rows of lam ascend, so the eigenvalues strictly inside (lo, hi) at row x
+    are the columns a[x]:b[x] of that row's frame. An ambiguous edge or an
+    empty window raises window_boundary_error's error at the first bad row.
+    Returns (a, b), two (N,) integer arrays.
+    """
+    hit = window_boundary_error(lam, lo, hi)
+    if hit is not None:
+        raise hit[1]
+    return (lam <= lo).sum(axis=1), (lam < hi).sum(axis=1)
+
+
+def spectral_projection(A, lo: float, hi: float) -> Subspace:
     """Span of eigenvectors with eigenvalues strictly inside (lo, hi).
 
     Either endpoint may be infinite. Finite endpoints must clear every
     eigenvalue by BOUNDARY_TOL_FACTOR times the spectral radius, otherwise
     the window is ambiguous and a SpectralBoundaryError names the offender.
-
-    Pass a precomputed `decomp` to skip the eigensolve.
     """
-    if not lo < hi:
-        raise ValidationError(f"empty window ({lo}, {hi})")
-    dec = decomp if decomp is not None else hermitian_eig(A)
-    lam = dec.eigenvalues
-    hit = window_boundary_error(lam[None], lo, hi)
-    if hit is not None:
-        raise hit[1]
-    mask = (lam > lo) & (lam < hi)
-    return Subspace(dec.frame.shape[0], dec.frame[:, mask])
+    dec = hermitian_eig(A)
+    (a,), (b,) = window_columns(dec.eigenvalues[None], lo, hi)
+    return Subspace(dec.frame.shape[0], dec.frame[:, a:b])
 
 
 def absolute_value(B, square: bool = False) -> np.ndarray:
@@ -534,24 +538,14 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 
 def _combination_operator(chain: list[Subspace], t: np.ndarray) -> np.ndarray:
-    """Sum t_i P_i over the chain, with the telescoped form asserted.
+    """Sum t_i P_i over the chain.
 
     Writing s_i for the partial sums of t and q_i for the projector onto the
     orthogonal complement of chain[i+1] inside chain[i], the same operator
-    equals sum_i s_i q_i plus the projector onto the last chain member. Both
-    sides are formed explicitly and compared within COMBINATION_IDENTITY_TOL.
+    equals sum_i s_i q_i plus the projector onto the last chain member: with
+    the weights summing to 1 (_check_weights) that telescoping is algebra.
     """
-    projs = [H.projector() for H in chain]
-    M = sum(ti * pi for ti, pi in zip(t, projs))
-    s = np.cumsum(t)
-    alt = projs[-1].astype(np.complex128).copy()
-    for i in range(len(chain) - 1):
-        alt += s[i] * (projs[i] - projs[i + 1])
-    if np.abs(M - alt).max() > COMBINATION_IDENTITY_TOL:
-        raise ModelViolationError(
-            "telescoped form of the weighted projector sum failed beyond tolerance"
-        )
-    return M
+    return sum(ti * H.projector() for ti, H in zip(t, chain))
 
 
 def _check_tail_injectivity(K: Subspace, tail: Subspace) -> None:
@@ -576,7 +570,8 @@ def convex_combination_image(K: Subspace, chain: list[Subspace], weights) -> Sub
 
     chain must be nested descending (chain[0] contains chain[1] and so on)
     and the projection onto the last member must be injective on K; then the
-    image has the same dimension as K and lies inside chain[0].
+    image lies inside chain[0] and has the dimension of K, which
+    orthonormal_image enforces (expect_dim), so callers need not re-check it.
     """
     _check_chain(chain)
     t = _check_weights(weights, len(chain))

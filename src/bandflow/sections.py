@@ -33,6 +33,7 @@ from .linalg import (
     orthogonal_complement,
     subspace_distances,
     window_boundary_error,
+    window_columns,
     window_inclusions,
 )
 
@@ -115,12 +116,10 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
         return False, report
     # target dims and deep-window ranks are counts on the plane, whose
     # ascending rows make each window a run of frame columns
-    hit = window_boundary_error(lam, c, np.inf)
-    if hit is not None:
-        raise hit[1]
+    a, b = window_columns(lam, c, np.inf)
     frames = [V.frame for V in S.subspaces]
     dims = np.array([V.shape[1] for V in frames])
-    report["dim_defects"] = tuple((dims - (lam > c).sum(axis=1)).tolist())
+    report["dim_defects"] = tuple((dims - (b - a)).tolist())
     steps = subspace_distances(frames[:-1], frames[1:])
     report["max_step"] = float(steps.max())
     if report["max_step"] > SECTION_CONTINUITY_TOL:
@@ -462,7 +461,8 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
     construction on orthogonal complements with levels nu_perp above the
     cut. The result is pinched between Im P above mu_perp and Im P above mu,
     and the returned radius turns that pinch into the sandwich property,
-    verified before returning.
+    verified before returning. No pass changes a fibre's dimension:
+    convex_combination_image and orthogonal_complement fix every one.
 
     An input whose subspaces already satisfy the sandwich at some
     sub-spectral radius is returned unchanged with a constant homotopy; the
@@ -557,10 +557,6 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
             raise ModelViolationError(
                 f"upper control envelope undercuts an active level at sample {x}"
             )
-        if M.dim != S.subspaces[x].dim:
-            raise ModelViolationError(
-                f"deformation changed the section dimension at sample {x}"
-            )
 
     # pinch inclusions: window above the top active nu_perp inside M, and
     # M inside the window above the bottom active nu
@@ -654,9 +650,8 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
     sections = []
     radius = np.zeros(n)
     for x in range(n):
-        dec = f.eigen(x)
-        sections.append(Subspace(f.dim, dec.frame[:, split:]))
-        lam = dec.eigenvalues
+        sections.append(Subspace(f.dim, f.frames[x][:, split:]))
+        lam = f.eigenvalues[x]
         r0 = 0.0
         if split > 0:
             r0 = max(r0, float(lam[split - 1]))

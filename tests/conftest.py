@@ -1,6 +1,7 @@
 """Shared fixtures: random-matrix helpers, hypothesis profile, and the
 acceptance-criteria registry that prints one summary line per criterion."""
 
+import sys
 import time
 from contextlib import contextmanager
 
@@ -38,6 +39,26 @@ def random_subspace(rng, n, k):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def window_builds(monkeypatch):
+    """Every window_subspace or spectral_projection call, at every binding of
+    either name in a bandflow module, recorded as its (lo, hi) window."""
+    from bandflow.families import window_subspace
+    from bandflow.linalg import spectral_projection
+
+    calls = []
+    for original in (window_subspace, spectral_projection):
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[-2:])
+            return _original(*args, **kwargs)
+
+        name = original.__name__
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "bandflow" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 # --- acceptance criteria bookkeeping ---------------------------------------

@@ -133,6 +133,14 @@ def _sampled_spec(dim=2, **top):
     return {"sampled": {"dim": dim, "grid": grid, "matrices": {"real": real}}, **top}
 
 
+def _shifted_spec(shift):
+    """A shifted loop, diag(-1, 1) at 3 samples, declaring the given shift."""
+    spec = _sampled_spec()
+    spec["sampled"]["grid"].update(kind="circle_loop", closure="shifted_loop", shift=shift)
+    spec["sampled"]["matrices"]["real"] = [np.diag([-1.0, 1.0]).tolist()] * 3
+    return spec
+
+
 def _nested_grid_spec():
     spec = _sampled_spec()
     grid = spec["sampled"]["grid"]
@@ -153,9 +161,14 @@ def _nested_grid_spec():
     ({"generator": "rotation", "params": {"m": -1}}, "spec.params"),
     (_sampled_spec(hermitian="false"), "spec.hermitian"),
     (_nested_grid_spec(), "spec.sampled.grid"),
+    (_shifted_spec(0.7), "spec.sampled.grid"),
+    (_shifted_spec(True), "spec.sampled.grid"),
+    (_sampled_spec(polarized_bands=[1.9, 1.2]), "spec.polarized_bands"),
+    (_sampled_spec(polarized_bands=[1, False]), "spec.polarized_bands"),
 ], ids=["params-not-object", "bands-not-pair", "dim-string", "seed-negative",
         "seed-beyond-64-bits", "samples-negative", "unknown-param", "one-sample",
-        "no-samples-loop", "spectators-negative", "hermitian-string", "grid-nested"])
+        "no-samples-loop", "spectators-negative", "hermitian-string", "grid-nested",
+        "shift-float", "shift-bool", "bands-float", "bands-bool"])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec, field):
     code, out = run(tmp_path, spec, ["flow"])
     assert code == 1
@@ -383,7 +396,8 @@ def test_section_file_fixed_point(tmp_path):
     assert report["outputs"]["nu"] == []
 
 
-def test_section_file_full_deformation(tmp_path):
+def _tilted_loop_files(tmp_path):
+    """Spec of a dim-2 loop and a section file tilting its top band by 0.2."""
     import bandflow
 
     samples = np.linspace(0.0, 1.0, 40)
@@ -416,7 +430,11 @@ def test_section_file_full_deformation(tmp_path):
         frames.append({"columns": cols})
     section_path = tmp_path / "tilted.json"
     section_path.write_text(json.dumps({"reference_cut": 1.5, "subspaces": frames}))
-    spec_path = write_spec(tmp_path, spec)
+    return write_spec(tmp_path, spec), section_path
+
+
+def test_section_file_full_deformation(tmp_path):
+    spec_path, section_path = _tilted_loop_files(tmp_path)
     out = tmp_path / "out"
     code = main(["section", "--spec", str(spec_path), "--out", str(out),
                  "--section-file", str(section_path)])
@@ -428,6 +446,25 @@ def test_section_file_full_deformation(tmp_path):
     )
     assert len(report["outputs"]["nu"]) >= 1
     assert report["outputs"]["radius"][0] == pytest.approx(1.75, abs=1e-9)
+
+
+def test_commands_read_windows_off_the_spectral_plane(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-sample spectral route was called")
+
+    monkeypatch.setattr(bandflow.families.OperatorFamily, "eigen", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bandflow" and hasattr(module, "spectral_projection"):
+            monkeypatch.setattr(module, "spectral_projection", refuse)
+    spec_path, section_path = _tilted_loop_files(tmp_path)
+    assert main(["section", "--spec", str(spec_path), "--out", str(tmp_path / "deform"),
+                 "--section-file", str(section_path)]) == 0
+    for k, (name, argv) in enumerate([("random_smooth", ["flow"]),
+                                      ("rotation", ["section", "--auto"]),
+                                      ("crossing", ["suspend"]),
+                                      ("crossing", ["polarize"])]):
+        (tmp_path / str(k)).mkdir()
+        assert run(tmp_path / str(k), {"generator": name}, argv)[0] == 0
 
 
 def test_section_emit_frames(tmp_path):

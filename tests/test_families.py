@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandflow import (
+    BandflowError,
     ModelViolationError,
     OperatorFamily,
     ParameterGrid,
@@ -20,7 +21,7 @@ from bandflow import (
     window_subspace,
 )
 from bandflow.families import _validated_stack, window_steps
-from bandflow.linalg import HERMITIAN_TOL_FACTOR, checked_stack
+from bandflow.linalg import HERMITIAN_TOL_FACTOR, checked_stack, window_boundary_error
 
 from conftest import random_hermitian
 
@@ -68,7 +69,7 @@ def test_grid_shift_only_for_shifted_loops():
     with pytest.raises(ValidationError):
         ParameterGrid(kind="interval_path", samples=t, closure="open_path", shift=1)
     g = ParameterGrid(kind="circle_loop", samples=t, closure="shifted_loop", shift=1)
-    assert g.is_loop and g.n_samples == 5
+    assert g.closure == "shifted_loop" and g.n_samples == 5
 
 
 # ---------------------------------------------------------------- generators
@@ -149,7 +150,6 @@ def test_rotation_loop_has_constant_spectrum():
 def test_rotation_fractional_turns_is_open():
     f = generate("rotation", m=1, turns=0.5, samples=40)
     assert f.grid.closure == "open_path"
-    assert not f.grid.is_loop
 
 
 def test_random_smooth_has_small_steps():
@@ -261,6 +261,81 @@ def test_window_dims_add_over_partitions(seed):
     assert left.dim + right.dim == full.dim == 6
     overlap = np.abs(left.frame.conj().T @ right.frame).max()
     assert overlap < 1e-10
+
+
+def reference_window_subspace(f, x, a, b):
+    """The per-sample route window_subspace replaced: the sample's
+    decomposition, its edges checked by window_boundary_error, then a mask."""
+    dec = f.eigen(x)
+    if not a < b:
+        raise ValidationError(f"empty window ({a}, {b})")
+    hit = window_boundary_error(dec.eigenvalues[None], a, b)
+    if hit is not None:
+        raise hit[1]
+    mask = (dec.eigenvalues > a) & (dec.eigenvalues < b)
+    return Subspace(f.dim, dec.frame[:, mask])
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args).frame
+    except BandflowError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_window(f, x, a, b):
+    got = _outcome(window_subspace, f, x, a, b)
+    want = _outcome(reference_window_subspace, f, x, a, b)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    return want
+
+
+@pytest.mark.parametrize("x, a, b, expect", [
+    (0, 0.5, np.inf, SpectralBoundaryError),  # edge on an eigenvalue
+    (1, -np.inf, 0.5 + 1e-12, SpectralBoundaryError),  # within the boundary tolerance
+    (-1, -np.inf, np.inf, 4),  # full, negative index
+    (-2, 3.0, np.inf, 0),  # zero-dimensional
+    (0, 0.0, 1.0, 2),  # repeated level inside
+    (1, 1.0, 1.0, ValidationError),  # empty
+    (0, 2.0, -1.0, ValidationError),  # reversed
+    (-1, -np.inf, 0.0, 1),
+])
+def test_window_subspace_matches_the_per_sample_route_on_edge_cases(x, a, b, expect):
+    f = constant_family(np.diag([-1.0, 0.5, 0.5, 2.0]), samples=3)
+    want = assert_same_window(f, x, a, b)
+    if isinstance(expect, int):
+        assert want.shape == (4, expect)
+    else:
+        assert want[0] is expect
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**16), st.integers(1, 5), st.integers(2, 4), st.booleans(), st.data())
+def test_window_subspace_matches_the_per_sample_route(seed, dim, samples, diagonal, data):
+    rng = np.random.default_rng(seed)
+    if diagonal:  # repeated, round levels, so edges can land on them exactly
+        levels = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], size=(samples, dim))
+        ops = [np.diag(row).astype(np.complex128) for row in levels]
+    else:
+        ops = [random_hermitian(rng, dim) for _ in range(samples)]
+    grid = ParameterGrid(kind="interval_path", samples=np.linspace(0, 1, samples),
+                         closure="open_path")
+    f = OperatorFamily(grid=grid, dim=dim, operators=tuple(ops))
+    pooled = f.eigenvalues.ravel().tolist()
+    on_level = st.tuples(st.sampled_from(pooled), st.sampled_from([0.0, 1e-12, -1e-12, 1e-6]))
+    edge = st.one_of(
+        st.sampled_from([-np.inf, np.inf, -100.0, 100.0, 0.0]),
+        st.floats(-4.0, 4.0),
+        on_level.map(sum),
+    )
+    x = data.draw(st.integers(-samples, samples - 1), label="sample")
+    a, b = sorted(data.draw(st.lists(edge, min_size=2, max_size=2, unique=True), label="edges"))
+    a, b = data.draw(st.sampled_from([(a, b)] * 6 + [(b, a), (a, a)]), label="window")
+    assert_same_window(f, x, a, b)
 
 
 def test_continuity_check_flags_band_jump():

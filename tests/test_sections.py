@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import bandflow.families as families_module
-import bandflow.linalg as linalg_module
 from bandflow import (
     AdaptedChart,
     Atlas,
@@ -419,19 +417,11 @@ def test_fixed_point_earliest_sample_decides(hit_first):
     assert (want is not None and "sits at window endpoint" in want) == hit_first
 
 
-def test_sandwich_and_fixed_point_build_no_window_subspaces(monkeypatch):
+def test_sandwich_and_fixed_point_build_no_window_subspaces(request):
     f = sine_loop()
     flat = make_weak_section(f, cut=1.5)
     tilted = tilt_section(f, flat, angle=0.2)
-    calls = []
-    projection = families_module.spectral_projection
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return projection(*args, **kwargs)
-
-    monkeypatch.setattr(families_module, "spectral_projection", counted)
-    monkeypatch.setattr(linalg_module, "spectral_projection", counted)
+    calls = request.getfixturevalue("window_builds")  # after the sections are made
     assert is_spectral_section(f, flat, 1.2)[0]
     assert not is_spectral_section(f, tilted, 1.2)[0]
     assert _fixed_point_radius(f, flat.subspaces, DEFAULT_GAP_TOL) is not None
