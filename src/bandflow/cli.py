@@ -8,10 +8,13 @@ flow blocks a section), 1 any error.
 
 JSON text comes from one recursive encoder whose output is exactly
 json.dumps(..., indent=2, sort_keys=True) of the nested-list form of the
-data. It takes numpy arrays as they are: a real float array is written a
-row at a time from one tolist(), with no per-entry conversion, which keeps
-the sampled family that polarize writes cheap. The encoder hands its chunks
-straight to the open file, so no copy of a whole file's text is ever held.
+data. It takes numpy arrays as they are: a real float array is written one
+innermost row per chunk. A row whose entries are all 0 or of magnitude in
+[1e-4, 1e16) is formatted by orjson in compiled code, which prints those
+values exactly as repr does; any other row is joined from float repr. That
+keeps the sampled family that polarize writes cheap. The encoder hands its
+chunks straight to the open file, so no copy of a whole file's text is ever
+held.
 
 JSON input, the spec and the section file, goes through one reader: a
 nesting guard over the raw bytes, then orjson, which parses the bytes in
@@ -21,6 +24,7 @@ compiled code and rounds every decimal to the nearest double.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -113,19 +117,34 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _float_rows(rows: list, depth: int, nl: str, write, fmt) -> None:
-    """Write nested lists of floats, depth levels deep, one chunk per row."""
-    if not rows:
+# orjson prints a double as repr does when it is 0 or 1e-4 <= |x| < 1e16;
+# outside that range it spells exponents differently (0.00005 for 5e-05,
+# 1e16 for 1e+16), so rows holding such values go through repr.
+_PLAIN_MIN = 1e-4
+_PLAIN_MAX = 1e16
+_ROW_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+
+
+def _float_array(a: np.ndarray, plain, nl: str, write) -> None:
+    """Write a float64 array one innermost row per chunk.
+
+    plain, of shape a.shape[:-1], marks the rows orjson may format.
+    """
+    inner = nl + _INDENT
+    if a.ndim == 1:
+        # all() over an empty row is True, and orjson writes it as []
+        if plain:
+            write(orjson.dumps(a, option=_ROW_OPTIONS).decode().replace("\n", nl))
+        else:
+            write("[" + inner + ("," + inner).join(map(_float_text, a.tolist())) + nl + "]")
+        return
+    if not len(a):
         write("[]")
         return
-    inner = nl + _INDENT
-    if depth == 1:
-        write("[" + inner + ("," + inner).join(map(fmt, rows)) + nl + "]")
-        return
     sep = "[" + inner
-    for row in rows:
+    for sub, p in zip(a, plain):
         write(sep)
-        _float_rows(row, depth - 1, inner, write, fmt)
+        _float_array(sub, p, inner, write)
         sep = "," + inner
     write(nl + "]")
 
@@ -136,7 +155,13 @@ def _encode(obj, nl: str, write) -> None:
     The text is what json.dumps(..., indent=2, sort_keys=True) gives for the
     nested-list form of obj: keys turned into strings and sorted, numpy
     scalars as Python numbers, arrays as nested lists and complex numbers as
-    {"im": ..., "re": ...}. Real float arrays are written a row at a time.
+    {"im": ..., "re": ...}.
+
+    A real float array is widened to one C-contiguous float64 array and
+    written one innermost row per chunk. A plain row, every entry 0 or of
+    magnitude in [1e-4, 1e16), goes through orjson's formatter, whose text
+    for those values is repr's; NaN, infinities and every other value send
+    their row through float repr (NaN and infinities as json spells them).
     """
     if isinstance(obj, str):
         write(_quote(obj))
@@ -175,8 +200,11 @@ def _encode(obj, nl: str, write) -> None:
         if obj.ndim == 0:
             raise TypeError("a 0-d array is not a JSON list")
         if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
-            fmt = float.__repr__ if np.isfinite(obj).all() else _float_text
-            _float_rows(obj.tolist(), obj.ndim, nl, write, fmt)
+            with np.errstate(invalid="ignore"):  # a float32 signalling NaN
+                a = np.ascontiguousarray(obj, dtype=np.float64)
+            mag = np.abs(a)
+            plain = ((a == 0) | ((mag >= _PLAIN_MIN) & (mag < _PLAIN_MAX))).all(axis=-1)
+            _float_array(a, plain, nl, write)
         else:
             _encode(obj.tolist(), nl, write)
     elif isinstance(obj, (complex, np.complexfloating)):
@@ -724,8 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         code = args.func(args)

@@ -43,6 +43,7 @@ from .linalg import (
     as_hermitian,
     hermitian_eig,
     svd_matched,
+    window_columns,
 )
 
 # An eigenvalue this close to 0 at a transition sample makes the below-zero
@@ -79,13 +80,9 @@ def band_gap_error(lam: np.ndarray, eps: float, gap_tol: float):
     )
 
 
-def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
-                   gap_tol: float = DEFAULT_GAP_TOL) -> EnhancedOperator:
-    """Validate that +-eps clear the spectrum and build the band subspace.
-
-    With declared frozen bands at -1 and +1, the radius must stay below
-    1 - gap_tol so the band cannot swallow the frozen eigenvalues.
-    """
+def _enhanced(A, eps: float, declared_bands: tuple | None, gap_tol: float) -> tuple:
+    """(EnhancedOperator, eigenframe, a, b): enhanced_check's operator with the
+    one frame it was read from, whose columns a:b span the band."""
     A = as_hermitian(A)
     if not eps > 0:
         raise ValidationError(f"band radius must be positive, got {eps}")
@@ -94,18 +91,26 @@ def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
             f"band radius {eps} collides with the frozen eigenvalues at +-1"
         )
     dec = hermitian_eig(A)
-    lam = dec.eigenvalues
-    hit = band_gap_error(lam[None], eps, gap_tol)
+    lam = dec.eigenvalues[None]
+    hit = band_gap_error(lam, eps, gap_tol)
     if hit is not None:
         raise hit[1]
-    mask = np.abs(lam) < eps
-    band = Subspace(A.shape[0], dec.frame[:, mask])
-    if declared_bands is not None:
-        frozen_in_band = int(np.sum(mask & (np.abs(np.abs(lam) - 1.0) <= 1e-9)))
-        if frozen_in_band:
-            raise ModelViolationError("band contains a frozen +-1 eigenvector")
-    return EnhancedOperator(A=A, eps=float(eps), band=band,
-                            interior_rank=band.dim)
+    (a,), (b,) = window_columns(lam, -eps, eps, cleared=True)
+    band = Subspace(A.shape[0], dec.frame[:, a:b])
+    if declared_bands is not None and np.any(np.abs(np.abs(dec.eigenvalues[a:b]) - 1.0) <= 1e-9):
+        raise ModelViolationError("band contains a frozen +-1 eigenvector")
+    enh = EnhancedOperator(A=A, eps=float(eps), band=band, interior_rank=band.dim)
+    return enh, dec.frame, a, b
+
+
+def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
+                   gap_tol: float = DEFAULT_GAP_TOL) -> EnhancedOperator:
+    """Validate that +-eps clear the spectrum and build the band subspace.
+
+    With declared frozen bands at -1 and +1, the radius must stay below
+    1 - gap_tol so the band cannot swallow the frozen eigenvalues.
+    """
+    return _enhanced(A, eps, declared_bands, gap_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +138,9 @@ class PolarizedBand:
 
 def polarized_triple(A, eps: float, gap_tol: float = DEFAULT_GAP_TOL) -> PolarizedBand:
     """Split the space into below-band, band, and above-band spectral parts."""
-    enh = enhanced_check(A, eps, gap_tol=gap_tol)
-    dec = hermitian_eig(enh.A)
-    lam = dec.eigenvalues
-    lo = Subspace(enh.A.shape[0], dec.frame[:, lam < -eps])
-    hi = Subspace(enh.A.shape[0], dec.frame[:, lam > eps])
-    return PolarizedBand(V=enh.band, H_minus=lo, H_plus=hi)
+    enh, F, a, b = _enhanced(A, eps, None, gap_tol)
+    n = F.shape[0]
+    return PolarizedBand(V=enh.band, H_minus=Subspace(n, F[:, :a]), H_plus=Subspace(n, F[:, b:]))
 
 
 @dataclass(frozen=True, eq=False)

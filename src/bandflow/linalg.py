@@ -305,17 +305,20 @@ def first_edge_error(lam: np.ndarray, *edges):
     return first
 
 
-def window_columns(lam: np.ndarray, lo: float, hi: float) -> tuple:
+def window_columns(lam: np.ndarray, lo: float, hi: float, cleared: bool = False) -> tuple:
     """Frame-column runs of the window (lo, hi) over an (N, n) eigenvalue table.
 
     Rows of lam ascend, so the eigenvalues strictly inside (lo, hi) at row x
     are the columns a[x]:b[x] of that row's frame. An ambiguous edge or an
-    empty window raises window_boundary_error's error at the first bad row.
+    empty window raises window_boundary_error's error at the first bad row,
+    unless cleared says the caller has already cleared both edges by a rule
+    of its own (enhanced_check's absolute gap_tol).
     Returns (a, b), two (N,) integer arrays.
     """
-    hit = window_boundary_error(lam, lo, hi)
-    if hit is not None:
-        raise hit[1]
+    if not cleared:
+        hit = window_boundary_error(lam, lo, hi)
+        if hit is not None:
+            raise hit[1]
     return (lam <= lo).sum(axis=1), (lam < hi).sum(axis=1)
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import bandflow.cli
 import bandflow.linalg
 from bandflow import (
     GENERATORS,
@@ -24,6 +25,7 @@ from bandflow import (
     make_weak_section,
     suspension,
 )
+from bandflow.atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN
 from bandflow.cli import _encode, _load_section_file, _write_json, load_family_spec, main
 
 
@@ -348,6 +350,22 @@ def test_section_auto_obstruction_exit_code(tmp_path):
     assert report["outputs"]["exists"] is False
     assert report["outputs"]["obstruction"] == 1
     assert report["invariant_checks"][0]["passed"] is False
+
+
+def test_main_parses_each_call_afresh_with_one_parser(tmp_path):
+    """main keeps one parser; no flag of a call reaches the next one."""
+    spec = write_spec(tmp_path, {"generator": "rotation"})
+    argv = ["--spec", str(spec), "--out", str(tmp_path / "out")]
+    assert main(["section", "--auto", "--eps-gap-tol", "2e-6", "--max-chart-len", "50"] + argv) == 0
+    first = read_report(tmp_path / "out", "section_report.json")["options"]
+    assert main(["section"] + argv) == 0
+    second = read_report(tmp_path / "out", "section_report.json")["options"]
+    assert first == {"auto": True, "eps_gap_tol": 2e-6, "max_chart_len": 50, "section_file": None}
+    assert second == {"auto": False, "eps_gap_tol": DEFAULT_GAP_TOL,
+                      "max_chart_len": DEFAULT_MAX_CHART_LEN, "section_file": None}
+    parser = bandflow.cli._parser()
+    assert parser is bandflow.cli._parser()
+    assert not hasattr(parser.parse_args(["flow"] + argv), "auto")
 
 
 def test_section_default_cut_deformation(tmp_path):
@@ -701,9 +719,13 @@ def _encoded(obj) -> str:
     return "".join(out)
 
 
+# The writer formats a row in compiled code when every entry is 0 or of
+# magnitude in [1e-4, 1e16); the edges of that range sit on both sides.
+_PLAIN_EDGES = [1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e16, 0)), 1e16]
 _EDGE_FLOATS = st.sampled_from([
     0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
-    float("nan"), float("inf"), float("-inf"), 0.1, 1e16, 123456789.0,
+    float("nan"), float("inf"), float("-inf"), 0.1, 123456789.0, 1.5e-310, -1.5e-310,
+    *_PLAIN_EDGES, *(-x for x in _PLAIN_EDGES),
 ])
 _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
 _COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
@@ -752,6 +774,55 @@ def test_json_writer_matches_indented_json_dumps(obj):
             _encoded(obj)
         return
     assert _encoded(obj) == expected
+
+
+def _plain_rows(a: np.ndarray) -> np.ndarray:
+    mag = np.abs(a)
+    return ((a == 0) | ((mag >= 1e-4) & (mag < 1e16))).all(axis=-1)
+
+
+def _parity_stack(rng, shape=(60, 7, 9)) -> np.ndarray:
+    """Random bit patterns and log-uniform values over [1e-7, 1e18].
+
+    Every fourth block of rows lies inside the plain range, and every
+    fourth is log-uniform over [1e-5, 1e17], so that many of its rows miss
+    the range by one entry within a decade of an edge.
+    """
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    log_uniform = sign * 10.0 ** rng.uniform(-7, 18, shape)
+    bits = rng.integers(0, 2**64, shape, dtype=np.uint64, endpoint=False).view(np.float64)
+    arr = np.where(rng.random(shape) < 0.5, bits, log_uniform)
+    # plain rows: random mantissas with exponents inside the range, short
+    # decimals and zeros of both signs
+    inside = sign * np.ldexp(rng.uniform(1.0, 2.0, shape), rng.integers(-13, 53, shape))
+    decimals = sign * np.round(rng.uniform(0, 1000, shape), 3)
+    arr[::4] = np.where(rng.random(shape) < 0.5, inside, decimals)[::4]
+    arr[::8, :, 0] = -0.0
+    arr[1::4] = (sign * 10.0 ** rng.uniform(-5, 17, shape))[1::4]
+    return arr
+
+
+def test_json_writer_float_rows_match_repr_in_bulk():
+    """Pins the installed orjson to repr's text on plain rows, and the
+    fallback to repr on the rest, for float64, complex parts and float32."""
+    rng = np.random.default_rng(20)
+    arr = _parity_stack(rng)
+    plain = _plain_rows(arr)
+    assert plain.any() and not plain.all()
+    assert _encoded(arr) == json.dumps(arr.tolist(), indent=2)
+    z = np.empty(arr.shape, dtype=np.complex128)
+    z.real, z.imag = arr, _parity_stack(rng)
+    for part in (z.real, z.imag):
+        assert not part.flags.c_contiguous
+        assert _encoded(part) == json.dumps(part.tolist(), indent=2)
+    shape = (60, 7, 9)
+    bits32 = rng.integers(0, 2**32, shape, dtype=np.uint32).view(np.float32)
+    log32 = (10.0 ** rng.uniform(-7, 18, shape)).astype(np.float32)
+    f32 = np.where(rng.random(shape) < 0.5, bits32, log32)
+    f32[::3] = log32[::3].clip(1e-4, 1e15)
+    with np.errstate(invalid="ignore"):  # signalling NaN bit patterns
+        assert _plain_rows(f32.astype(np.float64)).any()
+    assert _encoded(f32) == json.dumps(f32.tolist(), indent=2)
 
 
 def test_json_writer_writes_the_report_text(tmp_path, capsys):

@@ -28,7 +28,9 @@ from bandflow import (
     subspace_distance,
 )
 from bandflow import Atlas, AdaptedChart
+import bandflow.flow
 from bandflow.flow import _refined_eigenvalue_table
+from bandflow.linalg import hermitian_eig
 
 from conftest import random_complex
 
@@ -95,6 +97,30 @@ def test_polarized_triple_dims():
     assert subspace_distance(trip.V, span([0, 1, 0])) < 1e-12
     assert subspace_distance(trip.H_minus, span([1, 0, 0])) < 1e-12
     assert subspace_distance(trip.H_plus, span([0, 0, 1])) < 1e-12
+
+
+def test_polarized_triple_solves_once_and_keeps_the_mask_frames(monkeypatch):
+    """One hermitian_eig call; the three parts are bitwise the boolean-mask
+    columns of that one frame that the two-solve route cut."""
+    rng = np.random.default_rng(3)
+    A = random_complex(rng, 6)
+    A = A + A.conj().T
+    eps = 0.5 * float(np.median(np.abs(np.linalg.eigvalsh(A))))
+    dec = hermitian_eig(A)
+    lam = dec.eigenvalues
+    calls = []
+
+    def counted(M):
+        calls.append(1)
+        return hermitian_eig(M)
+
+    monkeypatch.setattr(bandflow.flow, "hermitian_eig", counted)
+    trip = polarized_triple(A, eps)
+    assert len(calls) == 1
+    for part, mask in ((trip.H_minus, lam < -eps), (trip.V, np.abs(lam) < eps),
+                       (trip.H_plus, lam > eps)):
+        np.testing.assert_array_equal(part.frame, dec.frame[:, mask])
+    assert 0 < trip.V.dim < 6
 
 
 def test_polarized_band_validation():
