@@ -15,6 +15,13 @@ the atlas asks for the radii of the longest allowed chart once and bisects
 for the end of that prefix only when there are none. The prefix is exact in
 real arithmetic; a computed clearance of a sub-gap can exceed its parent's
 only by rounding, which matters only within an ulp of gap_tol.
+
+Band continuity is Phillips' sampled hypothesis: consecutive band
+subspaces of a chart must stay within BAND_CONTINUITY_TOL, and those of the
+upper subspace within STRICT_TOL. families.window_steps measures each step
+by principal angles, as the sine of the largest one (exactly 1 at a rank
+change), without forming a projector. The steps are only compared with
+those two tolerances, so no report depends on their last bits.
 """
 
 from __future__ import annotations

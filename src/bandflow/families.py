@@ -261,25 +261,70 @@ def window_subspace(f: OperatorFamily, sample_index: int, a: float, b: float) ->
     return Subspace(f.dim, f.frames[sample_index][:, lo:hi])
 
 
+def _sine_steps(U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(G,) norms of W - U(U*W) for orthonormal stacks U, W of shape (G, n, r):
+    the sine of the largest principal angle between their spans, from one
+    stacked r x r eigvalsh of D*D."""
+    D = U @ (U.conj().transpose(0, 2, 1) @ W)
+    np.subtract(W, D, out=D)
+    top = np.linalg.eigvalsh(D.conj().transpose(0, 2, 1) @ D)[:, -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _window_columns(lo, rank: int, n: int) -> np.ndarray:
+    """Columns of the windows of the given rank starting at lo (an int or an
+    array), or of their complements when rank > n / 2: min(rank, n - rank)
+    indices along a new last axis."""
+    j, lo = np.arange(min(rank, n - rank)), np.asarray(lo)[..., None]
+    return lo + j if 2 * rank <= n else j + rank * (j >= lo)
+
+
+def _window_frames(F: np.ndarray, lo: np.ndarray, rows: np.ndarray, rank: int) -> np.ndarray:
+    """The _window_columns frames at the given rows, gathered into a stack."""
+    n = F.shape[1]
+    cols = _window_columns(lo[rows], rank, n)
+    return F[rows[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
+
+
 def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     """Yield (k, distance) between the (a, b) windows at samples k - 1 and k.
 
     The distance is the operator norm of the difference of the two window
-    projectors, as subspace_distance gives it up to roundoff. The projectors
-    of the whole range, and the eigenvalues of their consecutive differences,
-    are computed at once. A window edge that sits on an eigenvalue raises
-    window_boundary_error's SpectralBoundaryError, but only once the walk
-    reaches that sample, so a caller that stops at the first large step
-    raises nothing beyond it.
+    projectors, and agrees with subspace_distance up to roundoff; no n x n
+    projector is formed. The window at sample x is the run lo[x]:hi[x] of
+    its frame columns (window_columns). Two windows of different ranks are
+    exactly 1.0 apart; two empty or two full windows exactly 0.0. Between
+    windows U and W of equal rank r the distance is the sine form
+    ||W - U(U*W)|| of their largest principal angle, from one stacked r x r
+    eigvalsh; when r > n / 2 the complements, of rank n - r, stand in.
+    Usually the run is the same at every sample and the whole walk reads
+    one slice of the frames (a view, unless the complement is needed);
+    otherwise the steps are gathered by rank. A window edge that sits
+    on an eigenvalue raises window_boundary_error's SpectralBoundaryError,
+    but only once the walk reaches that sample, so a caller that stops at
+    the first large step raises nothing beyond it.
     """
     lam = f.eigenvalues[start:end + 1]
     hit = window_boundary_error(lam, a, b)
     stop = len(lam) if hit is None else hit[0]
     if stop > 1:
-        F = f.frames[start:start + stop]
-        inside = (lam[:stop] > a) & (lam[:stop] < b)
-        P = np.where(inside[:, None, :], F, 0.0) @ F.conj().transpose(0, 2, 1)
-        d = np.abs(np.linalg.eigvalsh(P[:-1] - P[1:])).max(axis=1)
+        F, n = f.frames[start:start + stop], f.dim
+        lo, hi = window_columns(lam[:stop], a, b, cleared=True)
+        rank = hi - lo
+        if (lo == lo[0]).all() and (hi == hi[0]).all():
+            d = np.zeros(stop - 1)
+            if 0 < rank[0] < n:
+                cols = (slice(lo[0], hi[0]) if 2 * rank[0] <= n
+                        else _window_columns(lo[0], rank[0], n))
+                d = _sine_steps(F[:-1, :, cols], F[1:, :, cols])
+        else:
+            same = rank[1:] == rank[:-1]
+            d = np.where(same, 0.0, 1.0)
+            for r in np.unique(rank[1:][same]).tolist():
+                if 0 < r < n:
+                    ks = np.flatnonzero(same & (rank[1:] == r))
+                    d[ks] = _sine_steps(_window_frames(F, lo, ks, r),
+                                        _window_frames(F, lo, ks + 1, r))
         yield from zip(range(start + 1, start + stop), d.tolist())
     if hit is not None:
         raise hit[1]

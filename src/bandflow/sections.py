@@ -10,7 +10,6 @@ control from below on the section, then from above on its complement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -368,25 +367,48 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     For each sample the candidate radii are the midpoints of the gaps of the
     absolute spectrum (zero prepended), tried in ascending order; only levels
     below the top of the spectrum count, since beyond it the sandwich holds
-    for any subspace and certifies nothing. Round j tests candidate j at every
-    open sample with one window_inclusions call; as in a sample-by-sample
-    search, the first sample whose candidates run out (None) or whose edge is
-    ambiguous (SpectralBoundaryError) decides.
+    for any subspace and certifies nothing. The outcome is that of a
+    sample-by-sample search: the first sample whose candidates run out
+    (None) or whose edge is ambiguous (SpectralBoundaryError) decides.
+
+    A subspace V of dimension k cannot contain a window of rank above k, nor
+    lie inside one of rank below k; a candidate m with count(lam > m) > k or
+    count(lam > -m) < k fails with a residual of about 1. Both counts are
+    monotone in m, so the feasible candidates of a sample are a suffix,
+    found by comparing every candidate with two thresholds at once. The
+    skipped candidates need no inclusion work, only their edge checks, all
+    run up front with one first_edge_error so the search raises at the same
+    sample and edge. Each round then tests every open sample's next
+    feasible candidate with one window_inclusions call.
     """
+    frames, lam, n = [V.frame for V in subs], f.eigenvalues, f.n_samples
+    if any(V.shape[0] != f.dim for V in frames):
+        raise ValidationError("ambient dims differ")
     cands = []
     for row in f.abs_eigenvalues:
         mids, clear = gap_midpoints(np.concatenate([[0.0], np.unique(row)]))
         cands.append(mids[(clear >= gap_tol) & (mids > 0.0)])
-    frames, lam, n = [V.frame for V in subs], f.eigenvalues, f.n_samples
-    radius = np.zeros(n)
-    todo, stop, err = np.arange(n), n, None  # todo holds open samples below stop
-    for j in itertools.count():
-        out = [x for x in todo if cands[x].size <= j]
-        if out:
+    sizes = np.array([c.size for c in cands])
+    c, owner = np.concatenate(cands), np.repeat(np.arange(n), sizes)
+    offset = np.cumsum(sizes) - sizes
+    # V_x of dim k passes only if count(lam > m) <= k <= count(lam > -m): with lam[x]
+    # ascending and padded by -inf and inf, m >= padded[x, j] and m > -padded[x, j + 1]
+    # for j = f.dim - k
+    j = f.dim - np.array([V.shape[1] for V in frames])[owner]
+    padded = np.pad(lam, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    skip = (c < padded[owner, j]) | (c <= -padded[owner, j + 1])
+    rows = owner[skip]
+    at = np.bincount(rows, minlength=n)  # at[x]: sample x's next candidate
+    hit = first_edge_error(lam[rows], c[skip], -c[skip])
+    stop, err = (n, None) if hit is None else (rows[hit[0]], hit[1])
+    radius, todo = np.zeros(n), np.arange(stop)  # todo holds open samples below stop
+    while True:
+        out = todo[at[todo] == sizes[todo]]
+        if out.size:
             stop, err, todo = out[0], None, todo[todo < out[0]]
         if not todo.size:
             break
-        m = np.array([cands[x][j] for x in todo])
+        m = c[offset[todo] + at[todo]]
         hit = first_edge_error(lam[todo], m, -m)
         if hit is not None:
             stop, err, todo, m = todo[hit[0]], hit[1], todo[:hit[0]], m[:hit[0]]
@@ -394,6 +416,7 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
         found = (ru <= SECTION_RESIDUAL_TOL) & (rl <= SECTION_RESIDUAL_TOL)
         radius[todo[found]] = m[found]
         todo = todo[~found]
+        at[todo] += 1
     if err is not None:
         raise err
     return None if stop < n else radius

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bandflow import (
     BandflowError,
@@ -538,6 +538,74 @@ def test_window_steps_stop_before_a_later_boundary():
     # never reaches
     first = next(k for k, d in window_steps(f, 0, 100, -0.105, 0.0) if d > 0.5)
     assert first == 40
+
+
+WINDOWS = {
+    "band": lambda e: (-abs(e), abs(e)),
+    "upper": lambda e: (e, np.inf),
+    "lower": lambda e: (-np.inf, e),
+}
+
+
+@given(dim=st.integers(1, 12), seed=st.integers(0, 10_000), samples=st.integers(2, 30),
+       loop=st.booleans(), start=st.integers(0, 5), kind=st.sampled_from(sorted(WINDOWS)),
+       level=st.floats(-3.0, 3.0), on_edge=st.booleans())
+@example(dim=6, seed=0, samples=20, loop=False, start=0, kind="upper", level=9.0,
+         on_edge=False)                                             # rank 0 throughout
+@example(dim=6, seed=0, samples=20, loop=True, start=0, kind="lower", level=9.0,
+         on_edge=False)                                             # rank n throughout
+@example(dim=3, seed=1, samples=20, loop=True, start=0, kind="upper", level=0.021,
+         on_edge=False)                                             # rank 2 of 3 throughout
+@example(dim=12, seed=3, samples=30, loop=True, start=0, kind="upper", level=-0.6,
+         on_edge=False)                                             # ranks 8 and 9 of 12
+@example(dim=8, seed=1, samples=30, loop=False, start=0, kind="band", level=0.3,
+         on_edge=False)                                             # rank jumps
+@example(dim=8, seed=1, samples=30, loop=False, start=2, kind="band", level=0.3,
+         on_edge=True)                                              # an edge on the spectrum
+def test_window_steps_match_the_projector_walk(dim, seed, samples, loop, start, kind, level,
+                                               on_edge):
+    f = generate("random_smooth", dim=dim, seed=seed, samples=samples, loop=loop)
+    start, lam = min(start, samples - 1), f.eigenvalues
+    if on_edge:  # an eigenvalue of a sample the walk reaches
+        level = float(lam[start + seed % (samples - start), seed % dim])
+    a, b = WINDOWS[kind](level)
+    ref, ref_err = _walk(_reference_steps(f, start, samples - 1, a, b))
+    got, err = _walk(window_steps(f, start, samples - 1, a, b))
+    assert err == ref_err
+    assert [k for k, _ in got] == [k for k, _ in ref]
+    rank = ((lam > a) & (lam < b)).sum(axis=1)
+    for (k, d), (_, want) in zip(got, ref):
+        assert abs(d - want) <= 1e-12
+        if rank[k - 1] != rank[k]:
+            assert d == 1.0
+        elif rank[k] in (0, dim):
+            assert d == 0.0
+
+
+def test_window_steps_solve_small_problems_without_projector_stacks(monkeypatch):
+    """eigvalsh sees min(r, n - r) square matrices, and no (N, n, n) stack is built.
+
+    At every sample 18 eigenvalues lie below -0.15 and 22 below 0.236, so the
+    first window is columns 18:22 throughout; the others move, and
+    (-1.2, inf) holds 31 to 34 columns."""
+    f = generate("random_smooth", dim=40, seed=3, samples=120)
+    frames = f.frames  # the plane is solved before anything is measured
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: shapes.append(M.shape) or eigvalsh(M))
+    for a, b in [(-0.15, 0.236), (-1.2, np.inf), (-np.inf, -1.2), (-0.15, 0.15)]:
+        rank = ((f.eigenvalues > a) & (f.eigenvalues < b)).sum(axis=1)
+        shapes.clear()
+        tracemalloc.start()
+        try:
+            steps = list(window_steps(f, 0, 119, a, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 119
+        assert shapes
+        assert all(s[-1] == s[-2] <= np.minimum(rank, 40 - rank).max() for s in shapes)
+        assert peak < 0.9 * frames.nbytes
 
 
 # ---------------------------------------------------------------- stack validation

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bandflow import (
@@ -28,6 +28,7 @@ from bandflow import (
     weak_section_check,
     window_subspace,
 )
+from bandflow import sections
 from bandflow.atlas import DEFAULT_GAP_TOL, gap_midpoints
 from bandflow.linalg import first_edge_error, inclusion_residual, window_inclusions
 from bandflow.sections import SECTION_RESIDUAL_TOL, _fixed_point_radius
@@ -390,10 +391,17 @@ def fixed_point_outcome(search, f, subs, gap_tol):
 
 @given(dim=st.integers(1, 5), seed=st.integers(0, 10_000),
        cut=st.sampled_from([-0.3, 0.0, 0.2]), tilt=st.sampled_from([0.0, 1e-9, 0.3]),
-       gap_tol=st.sampled_from([0.0, DEFAULT_GAP_TOL, 0.05]), loop=st.booleans())
-def test_fixed_point_rounds_match_the_sequential_search(dim, seed, cut, tilt, gap_tol, loop):
+       gap_tol=st.sampled_from([0.0, DEFAULT_GAP_TOL, 0.05]), loop=st.booleans(),
+       scale=st.sampled_from([1.0, 1e4]))
+# four samples fail on their residuals at their first feasible candidate, and again
+# at the next one, before they pass
+@example(dim=3, seed=1, cut=-0.3, tilt=0.3, gap_tol=0.0, loop=True, scale=1.0)
+def test_fixed_point_rounds_match_the_sequential_search(dim, seed, cut, tilt, gap_tol, loop,
+                                                        scale):
     f = generate("random_smooth", dim=dim, seed=seed, samples=12, loop=loop)
-    subs = tilt_section(f, make_weak_section(f, cut), tilt).subspaces
+    if scale != 1.0:  # edge tolerances of 1e-9 * |lam| ~ 1e-5 exceed the gap_tol choices
+        f = OperatorFamily(grid=f.grid, dim=dim, operators=f.operator_stack * scale)
+    subs = tilt_section(f, make_weak_section(f, cut * scale), tilt).subspaces
     got = fixed_point_outcome(_fixed_point_radius, f, subs, gap_tol)
     want = fixed_point_outcome(reference_fixed_point_radius, f, subs, gap_tol)
     if want is None or isinstance(want, str):
@@ -402,19 +410,56 @@ def test_fixed_point_rounds_match_the_sequential_search(dim, seed, cut, tilt, ga
         assert np.array_equal(got, want)
 
 
+# per case: the sample that runs out of candidates, the sample that meets an
+# ambiguous edge (each a diagonal and the columns spanning its subspace), and
+# the gap_tol
+EARLIEST_CASES = {
+    # one sample runs out after three rounds; the other meets an ambiguous
+    # edge (|eigenvalues| 1 and 1 + 1e-10) in round two
+    "unit": (([-2.0, -1.0, 0.5], slice(0, 1)), ([-(1.0 + 1e-10), 1.0, 3.0], slice(0, 1)), 0.0),
+    # at |lam| up to 2e5 the edge tolerance 2e-4 exceeds gap_tol: the midpoint
+    # of 1e4 and 1e4 + 3e-6 is a candidate, ambiguous, and rank-infeasible for
+    # the top four columns (three eigenvalues above -m), so the search skips
+    # it and checks its edge up front; the other sample's feasible candidates
+    # 7e4 and 1.45e5 fail on their residuals until it runs out
+    "large": (([-9e4, -5e4, 1e4, 3e4, 2e5], slice(0, 4)),
+              ([-9e4, -5e4, 1e4, 1e4 + 3e-6, 2e5], slice(1, 5)), DEFAULT_GAP_TOL),
+}
+
+
 @pytest.mark.parametrize("hit_first", [False, True])
-def test_fixed_point_earliest_sample_decides(hit_first):
-    # one sample runs out of candidates after three rounds; the other meets
-    # an ambiguous edge (|eigenvalues| 1 and 1 + 1e-10) in round two
-    runs_out = np.diag([-2.0, -1.0, 0.5])
-    ambiguous = np.diag([-(1.0 + 1e-10), 1.0, 3.0])
-    ops = (ambiguous, runs_out) if hit_first else (runs_out, ambiguous)
+def test_fixed_point_earliest_sample_decides(monkeypatch, hit_first):
+    rounds = []
+    monkeypatch.setattr(sections, "window_inclusions",
+                        lambda *args: rounds.append(args[2].tolist()) or window_inclusions(*args))
     grid = ParameterGrid(kind="interval_path", samples=np.array([0.0, 1.0]), closure="open_path")
-    f = OperatorFamily(grid=grid, dim=3, operators=tuple(o.astype(np.complex128) for o in ops))
-    subs = [Subspace(3, f.frames[x][:, :1]) for x in range(2)]
-    want = fixed_point_outcome(reference_fixed_point_radius, f, subs, 0.0)
-    assert fixed_point_outcome(_fixed_point_radius, f, subs, 0.0) == want
-    assert (want is not None and "sits at window endpoint" in want) == hit_first
+    for case, (runs_out, ambiguous, gap_tol) in EARLIEST_CASES.items():
+        pair = (ambiguous, runs_out) if hit_first else (runs_out, ambiguous)
+        ops = tuple(np.diag(d).astype(np.complex128) for d, _ in pair)
+        f = OperatorFamily(grid=grid, dim=len(ops[0]), operators=ops)
+        subs = [Subspace(f.dim, f.frames[x][:, cols]) for x, (_, cols) in enumerate(pair)]
+        want = fixed_point_outcome(reference_fixed_point_radius, f, subs, gap_tol)
+        rounds.clear()
+        assert fixed_point_outcome(_fixed_point_radius, f, subs, gap_tol) == want
+        assert (want is not None and "sits at window endpoint" in want) == hit_first
+        if case == "large":  # decided up front, or by the other sample's feasible candidates
+            assert rounds == ([] if hit_first else [[7e4], [1.45e5]])
+
+
+def test_fixed_point_tests_only_rank_feasible_candidates(monkeypatch):
+    f = generate("random_smooth", dim=40, seed=1, samples=30)
+    subs = make_weak_section(f, cut=0.3).subspaces
+    rows = []
+
+    def counted(lam, F, hi, lo, frames):
+        rows.extend(zip((lam > hi[:, None]).sum(axis=1), [V.shape[1] for V in frames],
+                        (lam > lo[:, None]).sum(axis=1)))
+        return window_inclusions(lam, F, hi, lo, frames)
+
+    monkeypatch.setattr(sections, "window_inclusions", counted)
+    assert _fixed_point_radius(f, subs, DEFAULT_GAP_TOL) is not None
+    assert len(rows) >= f.n_samples
+    assert all(up <= k <= down for up, k, down in rows)
 
 
 def test_sandwich_and_fixed_point_build_no_window_subspaces(request):
