@@ -271,18 +271,13 @@ def _sine_steps(U: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(top, 0.0))
 
 
-def _window_columns(lo, rank: int, n: int) -> np.ndarray:
-    """Columns of the windows of the given rank starting at lo (an int or an
-    array), or of their complements when rank > n / 2: min(rank, n - rank)
-    indices along a new last axis."""
-    j, lo = np.arange(min(rank, n - rank)), np.asarray(lo)[..., None]
-    return lo + j if 2 * rank <= n else j + rank * (j >= lo)
-
-
 def _window_frames(F: np.ndarray, lo: np.ndarray, rows: np.ndarray, rank: int) -> np.ndarray:
-    """The _window_columns frames at the given rows, gathered into a stack."""
+    """Frames of the rank-`rank` windows starting at columns lo[rows], or of
+    their complements when rank > n / 2, gathered into a stack of shape
+    (len(rows), n, min(rank, n - rank))."""
     n = F.shape[1]
-    cols = _window_columns(lo[rows], rank, n)
+    j, lo = np.arange(min(rank, n - rank)), lo[rows, None]
+    cols = lo + j if 2 * rank <= n else j + rank * (j >= lo)
     return F[rows[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
 
 
@@ -297,12 +292,12 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     windows U and W of equal rank r the distance is the sine form
     ||W - U(U*W)|| of their largest principal angle, from one stacked r x r
     eigvalsh; when r > n / 2 the complements, of rank n - r, stand in.
-    Usually the run is the same at every sample and the whole walk reads
-    one slice of the frames (a view, unless the complement is needed);
-    otherwise the steps are gathered by rank. A window edge that sits
-    on an eigenvalue raises window_boundary_error's SpectralBoundaryError,
-    but only once the walk reaches that sample, so a caller that stops at
-    the first large step raises nothing beyond it.
+    The windows of each rank are gathered from the frames into one stack,
+    and the sine form runs over its consecutive pairs; a pair that straddles
+    windows of another rank is not a step and is dropped. A window edge
+    that sits on an eigenvalue raises window_boundary_error's
+    SpectralBoundaryError, but only once the walk reaches that sample, so a
+    caller that stops at the first large step raises nothing beyond it.
     """
     lam = f.eigenvalues[start:end + 1]
     hit = window_boundary_error(lam, a, b)
@@ -311,20 +306,14 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
         F, n = f.frames[start:start + stop], f.dim
         lo, hi = window_columns(lam[:stop], a, b, cleared=True)
         rank = hi - lo
-        if (lo == lo[0]).all() and (hi == hi[0]).all():
-            d = np.zeros(stop - 1)
-            if 0 < rank[0] < n:
-                cols = (slice(lo[0], hi[0]) if 2 * rank[0] <= n
-                        else _window_columns(lo[0], rank[0], n))
-                d = _sine_steps(F[:-1, :, cols], F[1:, :, cols])
-        else:
-            same = rank[1:] == rank[:-1]
-            d = np.where(same, 0.0, 1.0)
-            for r in np.unique(rank[1:][same]).tolist():
-                if 0 < r < n:
-                    ks = np.flatnonzero(same & (rank[1:] == r))
-                    d[ks] = _sine_steps(_window_frames(F, lo, ks, r),
-                                        _window_frames(F, lo, ks + 1, r))
+        same = rank[1:] == rank[:-1]
+        d = np.where(same, 0.0, 1.0)
+        for r in set(rank[1:][same].tolist()):
+            if 0 < r < n:
+                rows = np.flatnonzero(rank == r)
+                G = _window_frames(F, lo, rows, r)
+                pair = rows[1:] - rows[:-1] == 1  # steps between two rank-r windows
+                d[rows[:-1][pair]] = _sine_steps(G[:-1], G[1:])[pair]
         yield from zip(range(start + 1, start + stop), d.tolist())
     if hit is not None:
         raise hit[1]

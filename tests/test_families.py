@@ -562,6 +562,8 @@ WINDOWS = {
          on_edge=False)                                             # rank jumps
 @example(dim=8, seed=1, samples=30, loop=False, start=2, kind="band", level=0.3,
          on_edge=True)                                              # an edge on the spectrum
+@example(dim=6, seed=0, samples=40, loop=False, start=0, kind="band", level=0.2,
+         on_edge=False)                                             # ranks 1 and 2 recur
 def test_window_steps_match_the_projector_walk(dim, seed, samples, loop, start, kind, level,
                                                on_edge):
     f = generate("random_smooth", dim=dim, seed=seed, samples=samples, loop=loop)
