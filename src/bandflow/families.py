@@ -35,6 +35,7 @@ from .linalg import (
     as_square_matrix,
     checked_stack,
     hermitian_eig_stack,
+    plane_certificate,
     window_boundary_error,
     window_columns,
 )
@@ -115,9 +116,9 @@ class OperatorFamily:
     plane (eigenvalue table, frames, row-sorted absolute eigenvalues) is
     computed for the whole stack at once, by one hermitian_eig_stack call,
     the first time any spectral data is asked for (at construction when
-    frozen bands are declared, since they are checked against it). A window
-    is a run of frame columns, read by window_columns; eigen(i) is the
-    public one-sample view into the plane.
+    frozen bands are declared), and its certificate on first use too. A
+    window is a run of frame columns, read by window_columns; eigen(i) is
+    the public one-sample view into the plane.
     """
 
     grid: ParameterGrid
@@ -131,6 +132,7 @@ class OperatorFamily:
     _atlas_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     _plane: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _certificate: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.operators) != self.grid.n_samples:
@@ -243,6 +245,14 @@ class OperatorFamily:
         """(N, n) table: row x holds the sorted |eigenvalues| at sample x."""
         return self._spectral_plane()[2]
 
+    @property
+    def certificate(self) -> tuple:
+        """plane_certificate of the spectral plane, computed on first use."""
+        if self._certificate is None:
+            cert = plane_certificate(self._stack, *self._spectral_plane()[:2])
+            object.__setattr__(self, "_certificate", cert)
+        return self._certificate
+
     def eigen(self, i: int) -> SpectralDecomposition:
         """Eigendecomposition at sample i, as views into the spectral plane."""
         if i not in self._eig_cache:
@@ -304,7 +314,7 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     stop = len(lam) if hit is None else hit[0]
     if stop > 1:
         F, n = f.frames[start:start + stop], f.dim
-        lo, hi = window_columns(lam[:stop], a, b, cleared=True)
+        lo, hi = window_columns(lam[:stop], a, b)
         rank = hi - lo
         same = rank[1:] == rank[:-1]
         d = np.where(same, 0.0, 1.0)

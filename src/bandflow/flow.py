@@ -95,7 +95,7 @@ def _enhanced(A, eps: float, declared_bands: tuple | None, gap_tol: float) -> tu
     hit = band_gap_error(lam, eps, gap_tol)
     if hit is not None:
         raise hit[1]
-    (a,), (b,) = window_columns(lam, -eps, eps, cleared=True)
+    (a,), (b,) = window_columns(lam, -eps, eps)
     band = Subspace(A.shape[0], dec.frame[:, a:b])
     if declared_bands is not None and np.any(np.abs(np.abs(dec.eigenvalues[a:b]) - 1.0) <= 1e-9):
         raise ModelViolationError("band contains a frozen +-1 eigenvector")
@@ -107,8 +107,9 @@ def enhanced_check(A, eps: float, declared_bands: tuple | None = None,
                    gap_tol: float = DEFAULT_GAP_TOL) -> EnhancedOperator:
     """Validate that +-eps clear the spectrum and build the band subspace.
 
-    With declared frozen bands at -1 and +1, the radius must stay below
-    1 - gap_tol so the band cannot swallow the frozen eigenvalues.
+    +-eps must clear every eigenvalue by gap_tol, then by window_columns'
+    relative rule. With declared frozen bands at -1 and +1, the radius must
+    stay below 1 - gap_tol so the band cannot swallow the frozen eigenvalues.
     """
     return _enhanced(A, eps, declared_bands, gap_tol)[0]
 

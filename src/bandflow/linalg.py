@@ -203,17 +203,45 @@ class PartialIsometry:
         object.__setattr__(self, "matrix", U)
 
 
+def _residual(As: np.ndarray, lam: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """R = A F - F diag(lam) over a stack, from one stacked matmul."""
+    R = As @ F
+    R -= F * lam[:, None, :]
+    return R
+
+
 def eigen_residual(As: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple:
     """Per-sample eigen-residual of a stack and the bound it must meet.
 
     As is (N, n, n), lam (N, n) and F (N, n, n). Returns (resid, tol), both
-    (N,): resid[x] is max|A F - F diag(lam)| at sample x, from one stacked
-    matmul, and tol[x] is RECON_TOL * (1 + max|lam[x]|).
+    (N,): resid[x] is max|A F - F diag(lam)| at sample x and tol[x] is
+    RECON_TOL * (1 + max|lam[x]|).
     """
-    R = As @ F
-    R -= F * lam[:, None, :]
-    resid = np.abs(R).max(axis=(1, 2))
+    resid = np.abs(_residual(As, lam, F)).max(axis=(1, 2))
     return resid, RECON_TOL * (1.0 + np.abs(lam).max(axis=1))
+
+
+def plane_certificate(As: np.ndarray, lam: np.ndarray, F: np.ndarray) -> tuple:
+    """(eta, cols, ortho) per sample: how far the exact spectrum of the
+    Hermitian stack As lies from its plane (lam, F), rows of lam ascending.
+
+    cols[x, j] bounds the exact ||A v_j - lam_j v_j||, the computed value plus
+    2 g (||A||_F + max|lam|) ||v_j|| for forming it, g = gamma_{n+2} =
+    (n + 2) u / (1 - (n + 2) u), u = 2^-53; ortho[x] bounds ||F*F - I||_F, plus
+    g ||F||_F^2. By Kahan's residual bound (B. Parlett, The Symmetric
+    Eigenvalue Problem, 1980, ch. 11) the sorted exact eigenvalues lie within
+    eta = ||cols[x]|| / sqrt(1 - ortho) of lam (inf once ortho >= 1).
+    """
+    n = As.shape[-1]
+    g = (n + 2) * 2.0**-53 / (1.0 - (n + 2) * 2.0**-53)
+    vnorm = np.linalg.norm(F, axis=1)
+    scale = np.linalg.norm(As, axis=(1, 2)) + np.abs(lam).max(axis=1)
+    cols = np.linalg.norm(_residual(As, lam, F), axis=1) + 2.0 * g * scale[:, None] * vnorm
+    E = F.conj().transpose(0, 2, 1) @ F - np.eye(n)
+    ortho = np.linalg.norm(E, axis=(1, 2)) + g * (vnorm**2).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        eta = np.linalg.norm(cols, axis=1) / np.sqrt(np.maximum(1.0 - ortho, 0.0))
+    return np.where(ortho < 1.0, eta, np.inf), cols, ortho
 
 
 def hermitian_eig_stack(As: np.ndarray) -> tuple:
@@ -231,11 +259,8 @@ def hermitian_eig_stack(As: np.ndarray) -> tuple:
     """
     lam, F = np.linalg.eigh(As)
     _fix_phases_inplace(F)
-    n = As.shape[-1]
     resid, tol = eigen_residual(As, lam, F)
-    G = F.conj().transpose(0, 2, 1) @ F
-    G[:, np.arange(n), np.arange(n)] -= 1.0
-    ortho = np.abs(G).max(axis=(1, 2))
+    ortho = np.abs(F.conj().transpose(0, 2, 1) @ F - np.eye(As.shape[-1])).max(axis=(1, 2))
     unsorted = np.any(np.diff(lam, axis=1) < 0, axis=1)
     bad_resid = resid > tol
     bad_ortho = ortho > FRAME_ORTHO_TOL
@@ -305,20 +330,16 @@ def first_edge_error(lam: np.ndarray, *edges):
     return first
 
 
-def window_columns(lam: np.ndarray, lo: float, hi: float, cleared: bool = False) -> tuple:
+def window_columns(lam: np.ndarray, lo: float, hi: float) -> tuple:
     """Frame-column runs of the window (lo, hi) over an (N, n) eigenvalue table.
 
     Rows of lam ascend, so the eigenvalues strictly inside (lo, hi) at row x
-    are the columns a[x]:b[x] of that row's frame. An ambiguous edge or an
-    empty window raises window_boundary_error's error at the first bad row,
-    unless cleared says the caller has already cleared both edges by a rule
-    of its own (enhanced_check's absolute gap_tol).
-    Returns (a, b), two (N,) integer arrays.
-    """
-    if not cleared:
-        hit = window_boundary_error(lam, lo, hi)
-        if hit is not None:
-            raise hit[1]
+    are the columns a[x]:b[x] of that row's frame; returns (a, b), two (N,)
+    integer arrays. An ambiguous edge or an empty window raises
+    window_boundary_error's error at the first bad row."""
+    hit = window_boundary_error(lam, lo, hi)
+    if hit is not None:
+        raise hit[1]
     return (lam <= lo).sum(axis=1), (lam < hi).sum(axis=1)
 
 

@@ -14,10 +14,10 @@ singular value sqrt(cos^2 t + min lam^2 sin^2 t), and the index is the
 signed zero-crossing count of the base's sorted branches, since the equator
 slice -i B(pi/2) is A itself.
 
-suspension_spectrum_check, band_correspondence_check and spectrum_surface
-still form |B(t)|^2 explicitly, with one stacked Gram solve per angle over
-every operator they are given. The base spectrum, and the base band, come
-from the family's spectral plane; a single matrix is a stack of one.
+Nothing here solves |B(t)|^2: B(t)*B(t) = cos^2 t + sin^2 t A^2 by algebra,
+so the spectrum identity and the band correspondence test only the accuracy
+of the base plane, read off its certificate eta (linalg.plane_certificate).
+spectrum_surface is the closed form itself. A single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .atlas import DEFAULT_GAP_TOL
 from .errors import ModelViolationError, ValidationError
 from .families import OperatorFamily
 from .flow import band_gap_error, net_up_crossings
-from .linalg import as_hermitian, hermitian_eig_stack, window_boundary_error
+from .linalg import as_hermitian, hermitian_eig_stack, plane_certificate, window_boundary_error
 
 SPECTRUM_IDENTITY_TOL = 1e-9
 BAND_MATCH_TOL = 1e-8
@@ -45,36 +45,13 @@ def _suspension_operator(A: np.ndarray, t: float) -> np.ndarray:
     return np.cos(t) * np.eye(n, dtype=np.complex128) + 1j * np.sin(t) * A
 
 
-def _suspension_grams(stack: np.ndarray, ts: list):
-    """Yield (t, G) for each angle t: G holds |B(t)|^2 = B* B, symmetrized,
-    for every operator of the (N, n, n) stack at once.
-
-    B is built exactly as _suspension_operator builds it, so each Gram
-    matrix is bitwise the one formed matrix by matrix. G is a buffer that
-    the next angle overwrites.
-    """
-    eye = np.eye(stack.shape[-1], dtype=np.complex128)
-    B = np.empty_like(stack)
-    C = np.empty_like(stack)
-    G = np.empty_like(stack)
-    for tk in ts:
-        np.multiply(1j * np.sin(tk), stack, out=B)
-        np.add(np.cos(tk) * eye, B, out=B)
-        np.conjugate(B, out=C)
-        np.matmul(C.transpose(0, 2, 1), B, out=G)
-        np.conjugate(G.transpose(0, 2, 1), out=C)
-        np.add(G, C, out=G)
-        np.multiply(0.5, G, out=G)
-        yield tk, G
-
-
 def _base_plane(A) -> tuple:
-    """(operator stack, eigenvalue table, frames) of a family's plane, or of
-    one Hermitian matrix as a stack of one."""
+    """(eigenvalues, certificate) of a family's plane, or of one matrix's."""
     if isinstance(A, OperatorFamily):
-        return A.operator_stack, A.eigenvalues, A.frames
+        return A.eigenvalues, A.certificate
     H = as_hermitian(A)[None]
-    return (H,) + hermitian_eig_stack(H)
+    lam, F = hermitian_eig_stack(H)
+    return lam, plane_certificate(H, lam, F)
 
 
 def _angles(t) -> list:
@@ -136,51 +113,48 @@ def suspend(f: OperatorFamily, t_count: int = 41) -> SuspensionFamily:
 
 
 def spectrum_identity_tolerance(lam: np.ndarray, t) -> np.ndarray:
-    """(N, T) tolerances of the spectrum identity over angles t.
-
-    lam is an (N, n) eigenvalue table; the cell of sample x and angle tk
-    is SPECTRUM_IDENTITY_TOL times max(1, largest closed-form value
-    cos^2 tk + lam^2 sin^2 tk).
-    """
-    lam2 = (lam**2).max(axis=1)
-    top = np.stack([np.cos(tk) ** 2 + lam2 * np.sin(tk) ** 2 for tk in _angles(t)], axis=1)
+    """(N, T) tolerances over an (N, n) eigenvalue table and the angles t: at
+    sample x and angle tk, SPECTRUM_IDENTITY_TOL times max(1, largest
+    closed-form value cos^2 tk + lam^2 sin^2 tk)."""
+    ts = np.asarray(_angles(t))
+    top = np.cos(ts) ** 2 + (lam**2).max(axis=1)[:, None] * np.sin(ts) ** 2
     return SPECTRUM_IDENTITY_TOL * np.maximum(1.0, top)
 
 
-def _spectrum_deviation(stack: np.ndarray, lam: np.ndarray, ts: list) -> np.ndarray:
-    """(N, T) table: max deviation between the sorted spectrum of |B(t)|^2
-    and its closed form, per operator of the stack and angle of ts."""
-    dev = np.empty((len(stack), len(ts)))
-    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
-        right = np.sort(np.cos(tk) ** 2 + lam**2 * np.sin(tk) ** 2, axis=1)
-        dev[:, k] = np.abs(np.linalg.eigvalsh(G) - right).max(axis=1)
-    return dev
+def _identity_bound(lam: np.ndarray, eta: np.ndarray, ts: list) -> np.ndarray:
+    """(N, T) table sin^2 t (2 rho eta + eta^2), 0 where B = I. The sorted exact
+    eigenvalues mu of A lie within eta of lam, so |mu^2 - lam^2| <= eta (2 rho + eta)."""
+    s2 = np.sin(ts) ** 2
+    q = eta * (2.0 * np.abs(lam).max(axis=1) + eta)
+    return np.multiply(q[:, None], s2, out=np.zeros((len(lam), len(ts))), where=s2 > 0.0)
+
+
+def _shaped(table: np.ndarray, A, t):
+    """An (N, T) table without the angle axis for a scalar t, as row 0 for a matrix."""
+    table = table[:, 0] if np.isscalar(t) else table
+    if isinstance(A, OperatorFamily):
+        return table
+    return table[0].item() if np.isscalar(t) else table[0]
 
 
 def spectrum_identity_deviation(f: OperatorFamily, t) -> np.ndarray:
-    """The (N, T) deviation table that suspension_spectrum_check judges.
-
-    Computed the same way, over the family's samples and the angles t, but
-    never raises: compare it with spectrum_identity_tolerance(f.eigenvalues,
-    t) to judge it.
-    """
-    return _spectrum_deviation(f.operator_stack, f.eigenvalues, _angles(t))
+    """The (N, T) table that suspension_spectrum_check judges, without raising:
+    compare it with spectrum_identity_tolerance(f.eigenvalues, t)."""
+    return _identity_bound(f.eigenvalues, f.certificate[0], _angles(t))
 
 
 def suspension_spectrum_check(A, t):
     """Verify |B(t)|^2 has spectrum {cos^2 t + lam^2 sin^2 t} over lam in spec(A).
 
-    A is an OperatorFamily, whose eigenvalues come from its spectral plane,
-    or one Hermitian matrix. t may be one angle or an array of angles. The
-    Gram matrices of all operators are solved with one eigvalsh per angle.
-    Returns the max absolute deviation between the two sorted spectra: an
-    (N, T) table for a family, (T,) for a matrix, with the angle axis
-    dropped for a scalar angle. Raises at the first (sample, angle) whose
-    deviation exceeds spectrum_identity_tolerance.
+    A is an OperatorFamily or one Hermitian matrix; t one angle or an array.
+    Returns the deviation bound sin^2 t (2 rho eta + eta^2), rho = max|lam|,
+    as an (N, T) table for a family, (T,) for a matrix, without the angle
+    axis for a scalar angle. Raises at the first (sample, angle) whose
+    bound exceeds spectrum_identity_tolerance.
     """
-    stack, lam, _ = _base_plane(A)
+    lam, (eta, _, _) = _base_plane(A)
     ts = _angles(t)
-    dev = _spectrum_deviation(stack, lam, ts)
+    dev = _identity_bound(lam, eta, ts)
     bad = dev > spectrum_identity_tolerance(lam, ts)
     if bad.any():
         x, k = np.unravel_index(np.argmax(bad), bad.shape)
@@ -188,59 +162,57 @@ def suspension_spectrum_check(A, t):
             f"suspension spectrum identity violated at t={ts[k]}: "
             f"deviation {float(dev[x, k]):.3e}"
         )
-    if np.isscalar(t):
-        dev = dev[:, 0]
-    if not isinstance(A, OperatorFamily):
-        return float(dev[0]) if np.isscalar(t) else dev[0]
-    return dev
+    return _shaped(dev, A, t)
+
+
+def _band_certified(lam: np.ndarray, eps: float, cert: tuple) -> np.ndarray:
+    """(M,) verdicts that the plane's band inside (-eps, eps) has the exact
+    band's rank (+-eps clears the spectrum by more than eta) and lies within
+    BAND_MATCH_TOL of it by Davis-Kahan (SIAM J. Numer. Anal. 7, 1970):
+    ||R_band||_F / (sqrt(1 - ortho) (d - 2 eta)) + ortho, d the gap between
+    in-band and out-of-band eigenvalues. For rank 0 or n, d = inf and the
+    bound is ortho, the frame's distance from an orthogonal one."""
+    eta, cols, ortho = cert
+    inside = np.abs(lam) < eps
+    d = np.min(np.abs(lam[:, :, None] - lam[:, None, :]), axis=(1, 2), initial=np.inf,
+               where=inside[:, :, None] & ~inside[:, None, :])
+    block = np.sqrt((cols**2 * inside).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dk = block / (np.sqrt(1.0 - ortho) * (d - 2.0 * eta)) + ortho
+    return (np.abs(np.abs(lam) - eps).min(axis=1) > eta) & (dk <= BAND_MATCH_TOL)
 
 
 def band_correspondence_check(A, eps: float, t, samples=None):
     """Low band of |B(t)| below delta(t) matches the band of |A| below eps.
 
-    delta(t) = sqrt(cos^2 t + eps^2 sin^2 t). Requires sin t away from 0 and
-    +-eps clearing the spectrum of A by the default gap tolerance. A is an
-    OperatorFamily, checked at the given sample indices (all by default)
-    with its band read from the spectral plane, or one Hermitian matrix.
-    The low band of |B| comes from one stacked eigh of the Gram matrices
-    per angle, and the distances between bands from one stacked eigvalsh.
-    Returns an (M, T) bool table for a family, (T,) for a matrix, with the
-    angle axis dropped for a scalar angle (a bool for a matrix). Errors
-    arise in the order of a sample-by-sample walk: at each sample the base
-    gap first, then a window edge on an eigenvalue of |B| angle by angle.
+    delta(t) = sqrt(cos^2 t + eps^2 sin^2 t), sin t away from 0. A is an
+    OperatorFamily, checked at the given sample indices (all by default),
+    or one Hermitian matrix. cos^2 t + lam^2 sin^2 t grows with |lam|, so
+    that band is the exact band of A inside (-eps, eps) at every angle, and
+    one verdict per sample (_band_certified) holds at all of them. Returns
+    an (M, T) bool table for a family, (T,) for a matrix, without the angle
+    axis for a scalar angle. Errors arise sample by sample: the base gap
+    (default gap tolerance) first, then a window edge on the closed-form
+    spectrum of |B|, sorted sqrt(cos^2 t + lam^2 sin^2 t), angle by angle.
     """
     ts = _angles(t)
     if np.any(np.abs(np.sin(ts)) < 1e-9):
         raise ValidationError("band correspondence needs sin t bounded away from 0")
     if not eps > 0:
         raise ValidationError(f"band radius must be positive, got {eps}")
-    stack, lam, F = _base_plane(A)
-    if samples is not None:
-        rows = np.asarray(samples, dtype=int)
-        stack, lam, F = stack[rows], lam[rows], F[rows]
+    lam, cert = _base_plane(A)
+    rows = slice(None) if samples is None else np.asarray(samples, dtype=int)
+    lam, cert = lam[rows], tuple(c[rows] for c in cert)
     first = band_gap_error(lam, eps, DEFAULT_GAP_TOL)
-    inside = np.abs(lam) < eps
-    P_base = np.where(inside[:, None, :], F, 0.0) @ F.conj().transpose(0, 2, 1)
-    dims = inside.sum(axis=1)
-    oks = np.empty((len(stack), len(ts)), dtype=bool)
-    for k, (tk, G) in enumerate(_suspension_grams(stack, ts)):
-        delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
-        mu, W = np.linalg.eigh(G)
-        abs_b = np.sqrt(np.clip(mu, 0.0, None))
-        hit = window_boundary_error(abs_b, -1.0, delta)
+    for tk in ts:
+        c2, s2 = np.cos(tk) ** 2, np.sin(tk) ** 2
+        abs_b = np.sqrt(np.sort(c2 + lam**2 * s2, axis=1))
+        hit = window_boundary_error(abs_b, -1.0, float(np.sqrt(c2 + eps**2 * s2)))
         if hit is not None and (first is None or hit[0] < first[0]):
             first = hit
-        low = abs_b < delta
-        P = np.where(low[:, None, :], W, 0.0) @ W.conj().transpose(0, 2, 1)
-        dist = np.abs(np.linalg.eigvalsh(P - P_base)).max(axis=1)
-        oks[:, k] = (low.sum(axis=1) == dims) & (dist <= BAND_MATCH_TOL)
     if first is not None:
         raise first[1]
-    if np.isscalar(t):
-        oks = oks[:, 0]
-    if not isinstance(A, OperatorFamily):
-        return bool(oks[0]) if np.isscalar(t) else oks[0]
-    return oks
+    return _shaped(np.repeat(_band_certified(lam, eps, cert)[:, None], len(ts), axis=1), A, t)
 
 
 def zero_band_check(A: np.ndarray, delta: float, t: float) -> bool:
@@ -328,13 +300,8 @@ def _det_winding(sf: SuspensionFamily, te: int):
 
 
 def spectrum_surface(sf: SuspensionFamily) -> np.ndarray:
-    """Eigenvalues of |B|^2 over the (parameter, angle) grid.
-
-    Returns an array of shape (n_parameters, n_angles, dim), eigenvalues
-    ascending in the last axis.
-    """
-    out = np.empty((sf.n_parameters, sf.n_angles, sf.base.dim))
-    grams = _suspension_grams(sf.base.operator_stack, sf.t_samples.tolist())
-    for k, (_, G) in enumerate(grams):
-        out[:, k] = np.linalg.eigvalsh(G)
-    return out
+    """Eigenvalues of |B|^2 over the (parameter, angle) grid, in closed form:
+    the (n_parameters, n_angles, dim) array of sorted cos^2 t + lam^2 sin^2 t."""
+    t = sf.t_samples[None, :, None]
+    lam = sf.base.eigenvalues[:, None, :]
+    return np.sort(np.cos(t) ** 2 + lam**2 * np.sin(t) ** 2, axis=2)

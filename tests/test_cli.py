@@ -23,7 +23,6 @@ from bandflow import (
     finite_polarized_replace,
     generate,
     make_weak_section,
-    suspension,
 )
 from bandflow.atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN
 from bandflow.cli import _encode, _load_section_file, _write_json, load_family_spec, main
@@ -272,15 +271,17 @@ def test_suspend_spectrum_identity_bound_scales_with_the_spectrum(tmp_path):
     assert 1e-8 < check["value"] < 1e-9 * 4e8
 
 
-def test_suspend_fails_on_a_corrupted_gram(tmp_path, monkeypatch, capsys):
-    grams = suspension._suspension_grams
+def test_suspend_fails_on_a_shifted_plane_eigenvalue(tmp_path, monkeypatch, capsys):
+    # sample 0's plane reports its lowest eigenvalue, -2, moved by 1e-6 while
+    # its frame stays exact: only the residual A V - V Lambda sees the shift
+    solve = bandflow.families.hermitian_eig_stack
 
-    def corrupted(stack, ts):
-        for tk, G in grams(stack, ts):
-            G[:, 0, 0] += 1e-6
-            yield tk, G
+    def shifted(stack):
+        lam, F = solve(stack)
+        lam[0, 0] += 1e-6
+        return lam, F
 
-    monkeypatch.setattr(suspension, "_suspension_grams", corrupted)
+    monkeypatch.setattr(bandflow.families, "hermitian_eig_stack", shifted)
     code, out = run(tmp_path, _conjugated_open_path(1.0), ["suspend"])
     # the failed identity is reported, not raised: the report is written in full
     assert code == 1
@@ -288,7 +289,8 @@ def test_suspend_fails_on_a_corrupted_gram(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     check = {c["name"]: c for c in report["invariant_checks"]}["spectrum_identity_max_residual"]
     assert check["passed"] is False
-    assert check["value"] >= 1e-6 * 0.9
+    # on the equator the bound is at least 2 rho eta, rho = 2 - 1e-6, eta >= 1e-6
+    assert check["value"] >= 2 * (2 - 1e-6) * 1e-6 * (1 - 1e-9)
     assert (out / "suspension_residuals.csv").is_file()
 
 
@@ -314,19 +316,21 @@ def _count_eigensolves(monkeypatch):
 
 def test_suspend_eigensolve_count_does_not_grow_with_samples(tmp_path, monkeypatch):
     # the atlas walks each chart's band with one eigvalsh, so one chart at
-    # both sizes keeps its share fixed; the suspension's share is per angle
+    # both sizes keeps its share fixed; the suspension solves nothing per angle
     seen = []
     for samples in (60, 120):
-        spec = {"generator": "random_smooth",
-                "params": {"dim": 3, "loop": True, "samples": samples, "seed": 4}}
-        (tmp_path / str(samples)).mkdir()
-        with monkeypatch.context() as m:
-            counts = _count_eigensolves(m)
-            code, _ = run(tmp_path / str(samples), spec,
-                          ["suspend", "--t-samples", "21", "--max-chart-len", "120"])
-        assert code == 0
-        seen.append(counts)
-    assert seen[0] == seen[1]
+        for t_samples in ("21", "41"):
+            spec = {"generator": "random_smooth",
+                    "params": {"dim": 3, "loop": True, "samples": samples, "seed": 4}}
+            run_dir = tmp_path / f"{samples}_{t_samples}"
+            run_dir.mkdir()
+            with monkeypatch.context() as m:
+                counts = _count_eigensolves(m)
+                code, _ = run(run_dir, spec,
+                              ["suspend", "--t-samples", t_samples, "--max-chart-len", "120"])
+            assert code == 0
+            seen.append(counts)
+    assert all(counts == seen[0] for counts in seen)
     assert seen[0]["hermitian_eig"] == 0
 
 

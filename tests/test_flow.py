@@ -6,7 +6,6 @@ import pytest
 from bandflow import (
     BoundaryZeroError,
     BranchResolutionError,
-    ModelViolationError,
     OperatorFamily,
     ParameterGrid,
     PolarizedBand,
@@ -25,6 +24,7 @@ from bandflow import (
     spectral_flow_endpoints,
     spectral_flow_oracle,
     spectral_flow_routes,
+    spectral_projection,
     subspace_distance,
 )
 from bandflow import Atlas, AdaptedChart
@@ -84,11 +84,26 @@ def test_enhanced_check_frozen_band_window():
 
 
 def test_enhanced_check_guards_frozen_vector_capture():
-    # with a loosened clearance a nearly-frozen eigenvalue can slip inside
-    # the band; the check refuses to treat it as interior
+    # a loosened gap_tol lets a nearly-frozen eigenvalue come within 4e-10 of
+    # the band edge, but the relative edge rule still refuses it, before the
+    # frozen-vector guard is reached
     A = np.diag([1.0 - 5e-10])
-    with pytest.raises(ModelViolationError, match="frozen"):
+    with pytest.raises(SpectralBoundaryError, match="window endpoint"):
         enhanced_check(A, eps=1.0 - 1e-10, declared_bands=(0, 1), gap_tol=1e-12)
+
+
+def test_enhanced_check_applies_the_window_edge_rule():
+    # 3e-6 clears the absolute gap_tol of 1e-6 but not the relative rule,
+    # 1e-9 times the spectral radius 5000: the same error as any window
+    A = np.diag([-5000.0, 1.000003, 5000.0])
+    with pytest.raises(SpectralBoundaryError) as window:
+        spectral_projection(A, -1.0, 1.0)
+    with pytest.raises(SpectralBoundaryError) as enhanced:
+        enhanced_check(A, 1.0)
+    assert str(enhanced.value) == str(window.value)
+    with pytest.raises(SpectralBoundaryError) as triple:
+        polarized_triple(A, 1.0)
+    assert str(triple.value) == str(window.value)
 
 
 def test_polarized_triple_dims():

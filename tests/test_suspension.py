@@ -31,6 +31,7 @@ from bandflow import (
     zero_band_check,
 )
 from bandflow import suspension
+from bandflow.linalg import as_hermitian, hermitian_eig_stack, plane_certificate
 from bandflow.suspension import BAND_MATCH_TOL, _suspension_operator
 
 from conftest import random_hermitian
@@ -48,8 +49,9 @@ def constant_base(matrix, samples=2):
     return family_of(np.repeat(M[None], samples, axis=0))
 
 
-# References: the checks as they ran before they were stacked, one matrix
-# and one angle at a time, each solving its base operator again.
+# References: the Gram route the checks took before they read the plane's
+# certificate, one matrix and one angle at a time, each solving its base
+# operator again and |B(t)|^2 at every angle.
 
 
 def _gram_spectrum(B):
@@ -74,20 +76,101 @@ def reference_spectrum_check(A, t):
     return devs[0] if scalar else np.array(devs)
 
 
-def reference_band_check(A, eps, t):
-    scalar = np.isscalar(t)
+def reference_band_distances(A, eps, t):
+    """Per angle of t, the distance between the band of the solved |B(t)|
+    below delta(t) and enhanced_check's band of A; inf when the ranks differ."""
     ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
     if np.any(np.abs(np.sin(ts)) < 1e-9):
         raise ValidationError("band correspondence needs sin t bounded away from 0")
     A = np.asarray(A, dtype=np.complex128)
     low_base = enhanced_check(A, eps).band
-    oks = []
+    dists = []
     for tk in ts:
         delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
         low_susp = spectral_projection(absolute_value(_suspension_operator(A, tk)), -1.0, delta)
-        oks.append(low_susp.dim == low_base.dim
-                   and subspace_distance(low_susp, low_base) <= BAND_MATCH_TOL)
-    return oks[0] if scalar else np.array(oks)
+        dists.append(subspace_distance(low_susp, low_base) if low_susp.dim == low_base.dim
+                     else np.inf)
+    return np.array(dists)
+
+
+def reference_band_check(A, eps, t):
+    oks = reference_band_distances(A, eps, t) <= BAND_MATCH_TOL
+    return bool(oks[0]) if np.isscalar(t) else oks
+
+
+# How far the Gram route itself may stray, from standard rounding-error
+# bounds: u is the unit roundoff and gamma_k = k u / (1 - k u).
+
+
+def _gamma(k):
+    u = np.finfo(np.float64).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def gram_error(A, t):
+    """(T,) bound on ||G^ - B*B||_2 plus eigvalsh's backward error, where G^
+    is the Gram matrix of B = cos t + i sin t A as _gram_spectrum forms it.
+
+    fl(B) = B + dB with |dB| <= u|B| entrywise (one rounding per entry), so
+    the exact product moves by at most (2u + u^2) ||B||_F^2; the complex
+    matmul adds gamma_{n+2} || |B^|* |B^| ||_F, symmetrizing u ||G^||_F, and
+    eigvalsh, backward stable, at most gamma_{n^2} ||G^||_F. With ||G^||_F
+    <= (1 + gamma_{n+4}) ||B||_F^2 the sum is within
+    gamma_{n^2+3n+16} ||B||_F^2, and ||B||_F^2 = n cos^2 t + sin^2 t ||A||_F^2
+    for Hermitian A.
+    """
+    A = np.asarray(A)
+    n = A.shape[0]
+    t = np.asarray(t, dtype=float)
+    fro2 = n * np.cos(t) ** 2 + np.sin(t) ** 2 * np.linalg.norm(A) ** 2
+    return _gamma(n * n + 3 * n + 16) * fro2
+
+
+def spectrum_slack(A, t):
+    """(T,) slack of the reference deviation over the exact one: gram_error,
+    plus gamma_4 m for evaluating cos^2 t + lam^2 sin^2 t (at most m) and
+    taking the difference."""
+    lam = np.linalg.eigvalsh(A)
+    t = np.asarray(t, dtype=float)
+    m = np.cos(t) ** 2 + np.max(lam**2) * np.sin(t) ** 2
+    return gram_error(A, t) + _gamma(4) * m
+
+
+def band_slack(A, eps, t):
+    """(T,) bound on the distance between the reference's band of |B(t)| and
+    the exact one; inf where the bound cannot separate the two.
+
+    The exact eigenvalues of A lie within eta of the plane's (the
+    certificate), so those of B*B lie at least m_G = sin^2 t min(eps^2 -
+    (max|lam_in| + eta)^2, (min|lam_out| - eta)^2 - eps^2) from delta^2.
+    The solved Gram matrix is exact for a perturbation E = gram_error, so
+    when E < m_G its band has the exact rank and, by Davis-Kahan, sin theta
+    <= E / (2 m_G - E). Its square roots then sit at least m_B = min(delta -
+    sqrt(delta^2 - m_G + E), sqrt(delta^2 + m_G - E) - delta) from delta;
+    forming |B| and solving it again perturbs it by E_B = gamma_{n^2+2n+8}
+    sqrt(||B||_F^2 + E), giving E_B / (2 m_B - E_B) when E_B < m_B. Forming
+    the two projectors and the eigvalsh of their difference adds at most
+    gamma_{n^2+n+2} (2n + 2).
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    n = A.shape[0]
+    H = as_hermitian(A)[None]
+    lam, F = hermitian_eig_stack(H)
+    eta = float(plane_certificate(H, lam, F)[0][0])
+    lam = np.abs(lam[0])
+    t = np.asarray(t, dtype=float)
+    c2, s2 = np.cos(t) ** 2, np.sin(t) ** 2
+    inside = lam < eps
+    below = eps**2 - (lam[inside].max() + eta) ** 2 if inside.any() else np.inf
+    above = max(lam[~inside].min() - eta, 0.0) ** 2 - eps**2 if (~inside).any() else np.inf
+    m_g = s2 * min(below, above)
+    E = gram_error(A, t)
+    d2 = c2 + eps**2 * s2
+    with np.errstate(invalid="ignore"):
+        m_b = np.minimum(np.sqrt(d2) - np.sqrt(d2 - m_g + E), np.sqrt(d2 + m_g - E) - np.sqrt(d2))
+    E_b = _gamma(n * n + 2 * n + 8) * np.sqrt(n * c2 + s2 * np.linalg.norm(A) ** 2 + E)
+    out = E / (2 * m_g - E) + E_b / (2 * m_b - E_b) + _gamma(n * n + n + 2) * (2 * n + 2)
+    return np.where((E < m_g) & (E_b < m_b), out, np.inf)
 
 
 def reference_surface(sf):
@@ -114,7 +197,7 @@ def assert_same_outcome(new, old):
 
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- suspend
@@ -237,28 +320,63 @@ def test_spectrum_identity_tolerance_scales_with_the_closed_form():
                              elements=st.floats(-10.0, 10.0, allow_subnormal=False)))),
     t_count=st.integers(1, 20).map(lambda h: 2 * h + 1),
     eps=st.floats(0.05, 3.0),
+    scale=st.floats(1.0, 1e4),
+    spread=st.sampled_from([1.0, 1e-4, 1e-9]),
+    center=st.floats(-3.0, 3.0),
+    eps_scales=st.booleans(),
 )
-def test_stacked_checks_match_per_matrix_loops(stack, t_count, eps):
+def test_stacked_checks_match_per_matrix_loops(stack, t_count, eps, scale, spread, center,
+                                               eps_scales):
+    # spread < 1 clusters each spectrum around scale * center
     X = stack[..., 0] + 1j * stack[..., 1]
-    H = 0.5 * (X + X.conj().transpose(0, 2, 1))
+    n = X.shape[-1]
+    H = scale * (center * np.eye(n) + spread * 0.5 * (X + X.conj().transpose(0, 2, 1)))
+    eps = eps * scale if eps_scales else eps
     t = np.linspace(0.0, np.pi, t_count)
     t[(t_count - 1) // 2] = np.pi / 2
+    ts = t[1:-1]
+    rows = range(0, len(H), max(1, len(H) // 8))
+
+    # the closed-form bound covers the Gram route's deviation, up to the
+    # Gram route's own rounding, and both raise alike
+    ours = [outcome(suspension_spectrum_check, A, t) for A in H]
+    for A, new in zip(H, ours):
+        old = outcome(reference_spectrum_check, A, t)
+        assert isinstance(new, tuple) == isinstance(old, tuple)
+        if isinstance(new, tuple):
+            assert new[0] is old[0]
+        else:
+            assert np.all(old <= new + spectrum_slack(A, t))
+    # a certified band is within BAND_MATCH_TOL of the reference's, up to
+    # the reference's own rounding; errors have the same type row by row
+    bands = [outcome(band_correspondence_check, H[x], eps, ts) for x in rows]
+    for x, new in zip(rows, bands):
+        old = outcome(reference_band_distances, H[x], eps, ts)
+        assert isinstance(new, tuple) == isinstance(old, tuple)
+        if isinstance(new, tuple):
+            assert new[0] is old[0]
+        else:
+            assert np.all(old[new] <= BAND_MATCH_TOL + band_slack(H[x], eps, ts)[new])
     if len(H) == 1:
-        A = H[0]
-        assert same_bits(suspension_spectrum_check(A, t), reference_spectrum_check(A, t))
-        assert_same_outcome(outcome(band_correspondence_check, A, eps, t[1:-1]),
-                            outcome(reference_band_check, A, eps, t[1:-1]))
         return
+
+    # the family checks are the per-matrix ones, stacked: the same values,
+    # or the first raising row's error
     f = family_of(H)
-    ref = np.array([reference_spectrum_check(A, t) for A in f.operators])
-    assert same_bits(suspension_spectrum_check(f, t), ref)
+    for table, per_row in ((outcome(suspension_spectrum_check, f, t), ours),
+                           (outcome(band_correspondence_check, f, eps, ts, samples=rows),
+                            bands)):
+        raised = [o for o in per_row if isinstance(o, tuple)]
+        if raised:
+            assert table == raised[0]
+        else:
+            assert same_bits(table, np.array(per_row))
     sf = suspend(f, t_count=t_count)
-    assert same_bits(spectrum_surface(sf), reference_surface(sf))
-    rows = range(0, f.n_samples, max(1, f.n_samples // 8))
-    assert_same_outcome(
-        outcome(band_correspondence_check, f, eps, t[1:-1], samples=rows),
-        outcome(lambda: np.array([reference_band_check(f.operators[x], eps, t[1:-1])
-                                  for x in rows])))
+    # within 1e-9 of the largest value at each (sample, angle), the scale of
+    # the Gram route's own rounding
+    ref = reference_surface(sf)
+    top = np.maximum(1.0, ref.max(axis=2, keepdims=True))
+    assert np.all(np.abs(spectrum_surface(sf) - ref) <= 1e-9 * top)
 
 
 def test_band_check_base_gap_error_matches_the_loop(rng):
@@ -285,41 +403,59 @@ def test_band_check_validates_the_radius():
 
 
 def test_spectrum_check_first_violation_matches_the_loop(rng, monkeypatch):
-    f = family_of(np.array([random_hermitian(rng, 4) for _ in range(12)]))
+    # doubling a matrix quadruples its bound sin^2 t (2 rho eta + eta^2);
+    # below rho = 1 the tolerance does not scale, so sample 5 violates the
+    # lowered tolerance from t = pi/4 on and every other sample only on the
+    # equator: the first violation by sample differs from the first by angle
+    A = 0.05 * random_hermitian(rng, 4)
+    f = family_of(np.array([2.0 * A if x == 5 else A for x in range(12)]))
     t = suspend(f, t_count=9).t_samples
     dev = suspension_spectrum_check(f, t)
     tol = suspension.spectrum_identity_tolerance(f.eigenvalues, t)
     scale = tol / suspension.SPECTRUM_IDENTITY_TOL
-    # a tolerance that a scattered tenth of the table violates: the first
-    # violation by sample differs from the first by angle
-    partial = float(np.quantile(dev / scale, 0.9))
+    assert (scale == 1.0).all()
+    partial = 0.93 * float(dev[0, 4])
     over = dev > partial * scale
     assert np.argmax(over) != np.ravel_multi_index(
         np.unravel_index(np.argmax(over.T), over.T.shape)[::-1], over.shape)
     for tol in (0.0, partial):
         monkeypatch.setattr(suspension, "SPECTRUM_IDENTITY_TOL", tol)
         new = outcome(suspension_spectrum_check, f, t)
-        old = outcome(lambda: [reference_spectrum_check(A, t) for A in f.operators])
+        old = outcome(lambda: [suspension_spectrum_check(A, t) for A in f.operators])
         assert new[0] is ModelViolationError
         assert new == old
 
 
-def test_band_check_flags_a_rotated_band(monkeypatch):
-    # couple the band of diag(0.2, 2.0) to the level outside it in every
-    # Gram matrix: the ranks still agree, the bands do not
+def test_spectrum_check_flags_a_shifted_eigenvalue():
+    # the plane's eigenvalue moves by 1e-6 while its frame stays exact: only
+    # the residual A V - V Lambda sees it, and the bound then exceeds the
+    # tolerance at every angle away from the poles
+    f = constant_base(np.diag([0.5, 2.0]), samples=3)
+    lam = f.eigenvalues.copy()
+    lam[1, 0] += 1e-6
+    g = OperatorFamily._with_plane(lam, f.frames, grid=f.grid, dim=2, operators=f.operator_stack)
+    t = suspend(f, t_count=9).t_samples
+    assert suspension_spectrum_check(f, t).max() < 1e-13
+    dev = suspension.spectrum_identity_deviation(g, t)
+    assert dev[1, 4] >= 2 * 2.0 * 1e-6
+    assert (dev[1, 1:-1] > suspension.spectrum_identity_tolerance(lam, t)[1, 1:-1]).all()
+    with pytest.raises(ModelViolationError, match="identity violated"):
+        suspension_spectrum_check(g, t)
+
+
+def test_band_check_flags_a_rotated_band():
+    # rotate the band column of diag(0.2, 2.0) toward the level outside it by
+    # 1e-4, keeping the frame orthonormal: the ranks still agree and only the
+    # residual sees the turn, so every verdict is false
     f = constant_base(np.diag([0.2, 2.0]), samples=3)
     angles = np.linspace(0.2, np.pi - 0.2, 7)
     assert band_correspondence_check(f, 1.0, angles).all()
-    grams = suspension._suspension_grams
-
-    def coupled(stack, ts):
-        for tk, G in grams(stack, ts):
-            G[:, 0, 1] += 1e-4
-            G[:, 1, 0] += 1e-4
-            yield tk, G
-
-    monkeypatch.setattr(suspension, "_suspension_grams", coupled)
-    assert not band_correspondence_check(f, 1.0, angles).any()
+    c, s = np.cos(1e-4), np.sin(1e-4)
+    turn = np.array([[c, -s], [s, c]], dtype=np.complex128)
+    g = OperatorFamily._with_plane(f.eigenvalues, f.frames @ turn, grid=f.grid, dim=2,
+                                   operators=f.operator_stack)
+    assert np.all(g.certificate[2] < 1e-14)
+    assert not band_correspondence_check(g, 1.0, angles).any()
 
 
 def test_spectrum_surface_formula():
