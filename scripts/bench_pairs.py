@@ -9,11 +9,13 @@ in odd-numbered pairs and the change in even-numbered ones. After each run
 the checkout's ``.bench_work/results/W-seedS-trace0.json`` is read.
 
 Prints, for every end-to-end metric of the change's BENCHMARK.json, each
-side's median and quartiles (numpy percentile, linear) and the number of
-pairs in which each side was lower. Then compares every job of the two runs
-of a seed: output digests, exit code and failure line. Writes a JSON object
-with the ``workloads`` block of a BENCH_*.json for W, plus an ``outputs``
-block summarizing the job comparison, to --out (default: stdout).
+side's median and quartiles (numpy percentile, linear), the number of
+pairs in which each side was lower, and a verdict against the metric's
+relative ``bound`` and ``better`` in that file (see ``verdict``). Then compares
+every job of the two runs of a seed: output digests, exit code and failure
+line. Writes a JSON object with the ``workloads`` block of a BENCH_*.json
+for W, plus an ``outputs`` block summarizing the job comparison, to --out
+(default: stdout).
 """
 
 from __future__ import annotations
@@ -59,6 +61,27 @@ def summary(values: list) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(med), 4), "q1": round(float(q1), 4),
             "q3": round(float(q3), 4), "runs": [round(float(v), 4) for v in values]}
+
+
+def verdict(parent: list, change: list, bound: float, better: str) -> str:
+    """Reading of one metric from the runs of both sides.
+
+    bound is a fraction of the parent's median, as in BENCHMARK.json.
+    "worse beyond the bound" when the change's median is worse than the
+    parent's by more than that; otherwise "unresolved" when the parent's
+    interquartile range is wider than it, unless every change run beats
+    every parent run; otherwise "within the bound". better is "lower" or
+    "higher".
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = sign * np.asarray(parent, dtype=float), sign * np.asarray(change, dtype=float)
+    allowed = bound * abs(np.median(p))
+    if np.median(c) - np.median(p) > allowed:
+        return "worse beyond the bound"
+    q1, q3 = np.percentile(p, [25, 75])
+    if q3 - q1 > allowed and not c.max() < p.min():
+        return "unresolved"
+    return "within the bound"
 
 
 def compare_jobs(seed: int, parent: dict, change: dict, diffs: dict) -> None:
@@ -113,13 +136,14 @@ def main(argv=None) -> int:
         lower = sum(c < p for p, c in zip(v["parent"], v["change"]))
         higher = sum(c > p for p, c in zip(v["parent"], v["change"]))
         p, c = summary(v["parent"]), summary(v["change"])
+        reading = verdict(v["parent"], v["change"], m["bound"], m["better"])
         block[name] = {"unit": m["unit"], "parent": p, "change": c,
-                       "change_lower_in": f"{lower}/{len(seeds)}"}
+                       "change_lower_in": f"{lower}/{len(seeds)}", "verdict": reading}
         print(f"  {name:12s} parent {p['median']:.4f} [{p['q1']:.4f}, {p['q3']:.4f}]  "
               f"change {c['median']:.4f} [{c['q1']:.4f}, {c['q3']:.4f}]  "
               f"change lower in {lower}, parent lower in {higher}, "
               f"median gap {p['median'] - c['median']:+.4f}, "
-              f"parent IQR {p['q3'] - p['q1']:.4f}")
+              f"parent IQR {p['q3'] - p['q1']:.4f}, bound {m['bound']}: {reading}")
     block["attempted_failed"] = attempted_failed
     print("  jobs compared per seed: " + ", ".join(
         f"{k} {len(v)}" for k, v in diffs.items()))

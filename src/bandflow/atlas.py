@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import AtlasBuildError, ModelViolationError, ValidationError
+from .errors import AtlasBuildError, ModelViolationError, SpectralBoundaryError, ValidationError
 from .families import ContinuityReport, OperatorFamily, window_steps
 
 # Minimum clearance required between +-eps and every eigenvalue on a chart.
@@ -47,6 +47,32 @@ STRICT_TOL = 0.5
 OBJECT_LIMIT = 10**6
 
 _SIG_DIGITS = 12
+
+
+def check_gap_tol(gap_tol: float) -> None:
+    """Raise ValidationError unless the band clearance gap_tol is finite and >= 0."""
+    if not 0.0 <= gap_tol < np.inf:
+        raise ValidationError(f"gap tolerance must be finite and nonnegative, got {gap_tol}")
+
+
+def band_gap_error(lam: np.ndarray, eps: float, gap_tol: float):
+    """First row of an eigenvalue table at which +-eps fails to clear the spectrum.
+
+    lam is (N, n). Returns (row, SpectralBoundaryError naming, also as its
+    eigenvalue attribute, the eigenvalue of that row closest to +-eps) for the
+    first row holding an eigenvalue within gap_tol of +-eps, or None.
+    """
+    dist = np.abs(np.abs(lam) - eps)
+    j = np.argmin(dist, axis=1)
+    dj = dist[np.arange(lam.shape[0]), j]
+    hit = np.flatnonzero(dj < gap_tol)
+    if not hit.size:
+        return None
+    x = int(hit[0])
+    v = lam[x, j[x]]
+    err = SpectralBoundaryError(f"eigenvalue {v:.12g} lies within {gap_tol:.1e} of +-{eps:.12g}")
+    err.eigenvalue = v
+    return x, err
 
 
 @dataclass(frozen=True)
@@ -179,13 +205,10 @@ def is_adapted(f: OperatorFamily, chart: AdaptedChart, gap_tol: float = DEFAULT_
         raise ValidationError("chart range leaves the grid")
     eps = chart.eps
     lam = f.eigenvalues[chart.start:chart.end + 1]
-    dist = np.abs(np.abs(lam) - eps)
-    nearest = np.argmin(dist, axis=1)
-    close = np.take_along_axis(dist, nearest[:, None], axis=1)[:, 0] < gap_tol
-    if close.any():
-        i = int(np.argmax(close))
+    hit = band_gap_error(lam, eps, gap_tol)
+    if hit is not None:
         return False, (
-            f"sample {chart.start + i}: eigenvalue {lam[i, nearest[i]]:.12g} lies "
+            f"sample {chart.start + hit[0]}: eigenvalue {hit[1].eigenvalue:.12g} lies "
             f"within {gap_tol:.1e} of the band edge +-{eps:.12g}"
         )
     ranks = np.sum(np.abs(lam) < eps, axis=1)
@@ -262,6 +285,7 @@ def build_atlas(f: OperatorFamily, max_chart_len: int = DEFAULT_MAX_CHART_LEN,
     """
     if max_chart_len < 2:
         raise ValidationError("max_chart_len must be at least 2")
+    check_gap_tol(gap_tol)
     n = f.n_samples
     charts = []
     start = 0
@@ -287,6 +311,7 @@ def check_atlas(f: OperatorFamily, atlas: Atlas, gap_tol: float = DEFAULT_GAP_TO
     The verdict is kept on the family per (atlas, gap_tol), so an atlas
     checked or built once is not walked again; a check that raises is not kept.
     """
+    check_gap_tol(gap_tol)
     key = (atlas, gap_tol)
     if key not in f._atlas_checks:
         f._atlas_checks[key] = _check_atlas(f, atlas, gap_tol)

@@ -36,8 +36,8 @@ from .linalg import (
     checked_stack,
     hermitian_eig_stack,
     plane_certificate,
-    window_boundary_error,
     window_columns,
+    window_runs,
 )
 
 # Entrywise agreement required of the two endpoint operators of an exact loop.
@@ -296,10 +296,10 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
 
     The distance is the operator norm of the difference of the two window
     projectors, and agrees with subspace_distance up to roundoff; no n x n
-    projector is formed. The window at sample x is the run lo[x]:hi[x] of
-    its frame columns (window_columns). Two windows of different ranks are
-    exactly 1.0 apart; two empty or two full windows exactly 0.0. Between
-    windows U and W of equal rank r the distance is the sine form
+    projector is formed. One window_runs call reads all edges of the walk
+    and the windows, runs lo[x]:hi[x] of frame columns. Windows of different
+    ranks are exactly 1.0 apart; two empty or two full windows exactly 0.0.
+    Between windows U and W of equal rank r the distance is the sine form
     ||W - U(U*W)|| of their largest principal angle, from one stacked r x r
     eigvalsh; when r > n / 2 the complements, of rank n - r, stand in.
     The windows of each rank are gathered from the frames into one stack,
@@ -310,12 +310,11 @@ def window_steps(f: OperatorFamily, start: int, end: int, a: float, b: float):
     caller that stops at the first large step raises nothing beyond it.
     """
     lam = f.eigenvalues[start:end + 1]
-    hit = window_boundary_error(lam, a, b)
+    hit, lo, hi = window_runs(lam, a, b)
     stop = len(lam) if hit is None else hit[0]
     if stop > 1:
         F, n = f.frames[start:start + stop], f.dim
-        lo, hi = window_columns(lam[:stop], a, b)
-        rank = hi - lo
+        rank = (hi - lo)[:stop]
         same = rank[1:] == rank[:-1]
         d = np.where(same, 0.0, 1.0)
         for r in set(rank[1:][same].tolist()):

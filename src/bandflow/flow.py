@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import DEFAULT_GAP_TOL, Atlas, check_atlas
+from .atlas import DEFAULT_GAP_TOL, Atlas, band_gap_error, check_atlas, check_gap_tol
 from .errors import (
     BoundaryZeroError,
     BranchResolutionError,
@@ -34,13 +34,14 @@ from .errors import (
     StabilizationError,
     ValidationError,
 )
-from .families import OperatorFamily, window_subspace
+from .families import OperatorFamily
 from .linalg import (
     BOUNDARY_TOL_FACTOR,
     RANK_TOL_FACTOR,
     PartialIsometry,
     Subspace,
     as_hermitian,
+    first_edge_error,
     hermitian_eig,
     svd_matched,
     window_columns,
@@ -61,31 +62,13 @@ class EnhancedOperator:
     interior_rank: int
 
 
-def band_gap_error(lam: np.ndarray, eps: float, gap_tol: float):
-    """First row of an eigenvalue table at which +-eps fails to clear the spectrum.
-
-    lam is (N, n). Returns (row, SpectralBoundaryError naming the eigenvalue
-    of that row closest to +-eps) for the first row holding an eigenvalue
-    within gap_tol of +-eps, or None when every row clears it.
-    """
-    dist = np.abs(np.abs(lam) - eps)
-    j = np.argmin(dist, axis=1)
-    dj = dist[np.arange(lam.shape[0]), j]
-    hit = np.flatnonzero(dj < gap_tol)
-    if not hit.size:
-        return None
-    x = int(hit[0])
-    return x, SpectralBoundaryError(
-        f"eigenvalue {lam[x, j[x]]:.12g} lies within {gap_tol:.1e} of +-{eps:.12g}"
-    )
-
-
 def _enhanced(A, eps: float, declared_bands: tuple | None, gap_tol: float) -> tuple:
     """(EnhancedOperator, eigenframe, a, b): enhanced_check's operator with the
     one frame it was read from, whose columns a:b span the band."""
     A = as_hermitian(A)
     if not eps > 0:
         raise ValidationError(f"band radius must be positive, got {eps}")
+    check_gap_tol(gap_tol)
     if declared_bands is not None and eps >= 1.0 - gap_tol:
         raise ValidationError(
             f"band radius {eps} collides with the frozen eigenvalues at +-1"
@@ -219,8 +202,10 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     Within every chart the change of the below-zero count between the
     transition samples is asserted to equal the net signed zero crossings
     there. At every overlap the larger band is the smaller band plus the two
-    annular windows by construction: once the edges at +-e1 and +-e2 clear
-    the spectrum, the four windows are adjacent column runs of one frame.
+    annular windows by construction: once one first_edge_error over the
+    overlap rows finds -e2 <= -e1 < e1 <= e2 clear of the spectrum, they cut
+    each frame into the column runs u_minus, small band and u_plus (the
+    annuli empty when e1 == e2), whose union is the big band.
     Only overlaps get subspaces: check_atlas has walked each chart's window.
     """
     ok, report = check_atlas(f, atlas, gap_tol)
@@ -258,22 +243,20 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
             n_below_left=n_left, n_below_right=n_right,
         ))
 
+    eps = np.array([c.eps for c in charts])
+    e1, e2 = np.minimum(eps[:-1], eps[1:]), np.maximum(eps[:-1], eps[1:])
+    # edges in the order the small band, the big band and the annuli read them
+    hit = first_edge_error(lam[overlap_samples], -e1, e1, -e2, e2)
+    if hit is not None:
+        raise hit[1]
+    cuts = (lam[overlap_samples][:, :, None] < np.array([-e2, -e1, e1, e2]).T[:, None]).sum(axis=1)
     overlaps = []
-    for j, y in enumerate(overlap_samples):
-        e1 = min(charts[j].eps, charts[j + 1].eps)
-        e2 = max(charts[j].eps, charts[j + 1].eps)
-        small = window_subspace(f, y, -e1, e1)
-        big = window_subspace(f, y, -e2, e2)
-        if e2 > e1:
-            u_minus = window_subspace(f, y, -e2, -e1)
-            u_plus = window_subspace(f, y, e1, e2)
-        else:
-            u_minus = Subspace.zero(f.dim)
-            u_plus = Subspace.zero(f.dim)
+    for j, (y, (c0, c1, c2, c3)) in enumerate(zip(overlap_samples, cuts.tolist())):
+        F = f.frames[y]
         overlaps.append(OverlapData(
-            sample=y, eps_small=e1, eps_big=e2,
-            u_minus=u_minus, u_plus=u_plus,
-            small_band=small, big_band=big,
+            sample=y, eps_small=float(e1[j]), eps_big=float(e2[j]),
+            u_minus=Subspace(f.dim, F[:, c0:c1]), u_plus=Subspace(f.dim, F[:, c2:c3]),
+            small_band=Subspace(f.dim, F[:, c1:c2]), big_band=Subspace(f.dim, F[:, c0:c3]),
         ))
     return IndexChain(charts=tuple(chart_data), overlaps=tuple(overlaps))
 

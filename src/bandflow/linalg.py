@@ -330,17 +330,20 @@ def first_edge_error(lam: np.ndarray, *edges):
     return first
 
 
-def window_columns(lam: np.ndarray, lo: float, hi: float) -> tuple:
-    """Frame-column runs of the window (lo, hi) over an (N, n) eigenvalue table.
-
-    Rows of lam ascend, so the eigenvalues strictly inside (lo, hi) at row x
-    are the columns a[x]:b[x] of that row's frame; returns (a, b), two (N,)
-    integer arrays. An ambiguous edge or an empty window raises
-    window_boundary_error's error at the first bad row."""
+def window_runs(lam: np.ndarray, lo: float, hi: float) -> tuple:
+    """(window_boundary_error's hit, a, b) for the window (lo, hi) over an (N, n)
+    table lam with ascending rows: the eigenvalues strictly inside it at a row
+    x before the hit are the columns a[x]:b[x] of that row's frame."""
     hit = window_boundary_error(lam, lo, hi)
+    return hit, (lam <= lo).sum(axis=1), (lam < hi).sum(axis=1)
+
+
+def window_columns(lam: np.ndarray, lo: float, hi: float) -> tuple:
+    """(a, b) of window_runs; an empty window or an ambiguous edge raises."""
+    hit, a, b = window_runs(lam, lo, hi)
     if hit is not None:
         raise hit[1]
-    return (lam <= lo).sum(axis=1), (lam < hi).sum(axis=1)
+    return a, b
 
 
 def spectral_projection(A, lo: float, hi: float) -> Subspace:
@@ -355,16 +358,11 @@ def spectral_projection(A, lo: float, hi: float) -> Subspace:
     return Subspace(dec.frame.shape[0], dec.frame[:, a:b])
 
 
-def absolute_value(B, square: bool = False) -> np.ndarray:
-    """|B| = sqrt(B* B) as a Hermitian matrix, or B* B itself when square=True."""
-    B = as_square_matrix(B)
-    H = B.conj().T @ B
-    H = 0.5 * (H + H.conj().T)
-    if square:
-        return H
-    lam, F = np.linalg.eigh(H)
-    lam = np.clip(lam, 0.0, None)
-    out = (F * np.sqrt(lam)) @ F.conj().T
+def absolute_value(B) -> np.ndarray:
+    """|B| = sqrt(B* B) as V diag(sigma) V* from svd_matched, which keeps small
+    singular values accurate where forming B* B would square B's condition."""
+    _, sigma, V = svd_matched(B)
+    out = (V * sigma) @ V.conj().T
     return 0.5 * (out + out.conj().T)
 
 

@@ -6,6 +6,8 @@ pushes such a section, one partition-of-unity combination at a time, into a
 section pinched between spectral windows: above radius r(x) fully inside,
 below -r(x) fully orthogonal. The two passes mirror each other, first gaining
 control from below on the section, then from above on its complement.
+Windows are runs of the spectral plane's columns, read for all samples at
+once; only the deformation chains, lists of Subspace, are read per sample.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ from .families import OperatorFamily, window_subspace
 from .flow import spectral_flow_routes
 from .linalg import (
     Subspace,
+    _stacks,
     combination_path,
     convex_combination_image,
     first_edge_error,
     orthogonal_complement,
     subspace_distances,
-    window_boundary_error,
     window_columns,
     window_inclusions,
+    window_runs,
 )
 
 SECTION_CONTINUITY_TOL = 0.5
@@ -65,8 +68,9 @@ class WeakSpectralSection:
 
 
 def make_weak_section(f: OperatorFamily, cut: float) -> WeakSpectralSection:
-    """The tautological weak section: the spectral window above the cut."""
-    subs = tuple(window_subspace(f, x, cut, np.inf) for x in range(f.n_samples))
+    """The tautological weak section: the plane's windows above the cut."""
+    a, b = window_columns(f.eigenvalues, cut, np.inf)
+    subs = tuple(Subspace(f.dim, F[:, i:j]) for F, i, j in zip(f.frames, a, b))
     return WeakSpectralSection(subspaces=subs, reference_cut=cut)
 
 
@@ -128,8 +132,7 @@ def weak_section_check(f: OperatorFamily, S: WeakSpectralSection,
         )
         return False, report
     c_floor = floor if floor is not None else float(lam.min()) - 1.0
-    hit = window_boundary_error(lam, -np.inf, c_floor)
-    deep = (lam < c_floor).sum(axis=1)
+    hit, _, deep = window_runs(lam, -np.inf, c_floor)
     worst_overlap = 0.0
     reached = n if hit is None else hit[0]  # the walk raises at an ambiguous deep edge
     for x in np.flatnonzero((deep[:reached] > 0) & (dims[:reached] > 0)):
@@ -304,7 +307,12 @@ def is_spectral_section(f: OperatorFamily, sections, radius):
     r = np.broadcast_to(np.asarray(radius, dtype=float), (n,)).copy()
     if np.any(r <= 0):
         raise ValidationError("section radius must be positive everywhere")
-    ru, rl = window_inclusions(f.eigenvalues, f.frames, r, -r, [V.frame for V in subs])
+    return _sandwich_report(*window_inclusions(f.eigenvalues, f.frames, r, -r,
+                                               [V.frame for V in subs]), r)
+
+
+def _sandwich_report(ru: np.ndarray, rl: np.ndarray, r: np.ndarray):
+    """(ok, report) of the per-sample sandwich residuals ru, rl at radii r."""
     worst_upper, worst_lower = float(ru.max()), float(rl.max())
     ok = worst_upper <= SECTION_RESIDUAL_TOL and worst_lower <= SECTION_RESIDUAL_TOL
     return ok, {
@@ -331,21 +339,6 @@ def _levels_above(pooled: np.ndarray, cap: float, gap_tol: float) -> list:
     return out
 
 
-def _projection_floor(f: OperatorFamily, x: int, K: Subspace, level: float,
-                      upper: bool) -> float:
-    """Smallest singular value of the spectral projection restricted to K."""
-    if K.dim == 0:
-        return 1.0
-    if upper:
-        H = window_subspace(f, x, level, np.inf)
-    else:
-        H = window_subspace(f, x, -np.inf, level)
-    if H.dim < K.dim:
-        return 0.0
-    sig = np.linalg.svd(H.frame.conj().T @ K.frame, compute_uv=False)
-    return float(sig[-1]) if sig.size else 0.0
-
-
 def _aligned_radius(abs_vals: np.ndarray, r0: float, clearance: float) -> float:
     """Smallest radius at least r0 keeping a safe distance from |spectrum|."""
     r0 = max(r0, clearance)
@@ -357,12 +350,9 @@ def _aligned_radius(abs_vals: np.ndarray, r0: float, clearance: float) -> float:
     return float(mids[0]) if mids.size else float(max(r0, float(vals[-1]) + 1.0))
 
 
-def _chart_pooled(f: OperatorFamily, chart) -> np.ndarray:
-    return np.unique(f.eigenvalues[chart.start:chart.end + 1])
-
-
 def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
-    """Per-sample radius certifying the input is already sandwiched, or None.
+    """Rows radius, ru, rl: per-sample radii certifying the input is already
+    sandwiched, and the window_inclusions residuals that accepted them; or None.
 
     For each sample the candidate radii are the midpoints of the gaps of the
     absolute spectrum (zero prepended), tried in ascending order; only levels
@@ -379,7 +369,8 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     skipped candidates need no inclusion work, only their edge checks, all
     run up front with one first_edge_error so the search raises at the same
     sample and edge. Each round then tests every open sample's next
-    feasible candidate with one window_inclusions call.
+    feasible candidate with one window_inclusions call, which works row by
+    row: the residuals returned are bitwise those of one call at the radius.
     """
     frames, lam, n = [V.frame for V in subs], f.eigenvalues, f.n_samples
     if any(V.shape[0] != f.dim for V in frames):
@@ -401,7 +392,7 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     at = np.bincount(rows, minlength=n)  # at[x]: sample x's next candidate
     hit = first_edge_error(lam[rows], c[skip], -c[skip])
     stop, err = (n, None) if hit is None else (rows[hit[0]], hit[1])
-    radius, todo = np.zeros(n), np.arange(stop)  # todo holds open samples below stop
+    fp, todo = np.zeros((3, n)), np.arange(stop)  # todo holds open samples below stop
     while True:
         out = todo[at[todo] == sizes[todo]]
         if out.size:
@@ -414,40 +405,47 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
             stop, err, todo, m = todo[hit[0]], hit[1], todo[:hit[0]], m[:hit[0]]
         ru, rl = window_inclusions(lam[todo], f.frames[todo], m, -m, [frames[x] for x in todo])
         found = (ru <= SECTION_RESIDUAL_TOL) & (rl <= SECTION_RESIDUAL_TOL)
-        radius[todo[found]] = m[found]
+        fp[:, todo[found]] = m[found], ru[found], rl[found]
         todo = todo[~found]
         at[todo] += 1
     if err is not None:
         raise err
-    return None if stop < n else radius
+    return None if stop < n else fp
 
 
 def _pick_chart_levels(f: OperatorFamily, atlas: Atlas, sections, cap: float,
                        gap_tol: float, upper: bool) -> list:
-    """One control level per chart with the projection injective throughout."""
+    """One control level per chart with the projection injective throughout:
+    at each chart sample with a nonempty section K, the window H above the
+    level (below it when not upper) has sigma_min(H* K) >= INJECTIVITY_ACCEPT,
+    from one window_columns and a stacked svd per (window rank, section dim)."""
+    lam, F = f.eigenvalues, f.frames
+    frames = [K.frame for K in sections]
+    dims = np.array([K.shape[1] for K in frames])
     chosen = []
     for i, chart in enumerate(atlas.charts):
-        pooled = _chart_pooled(f, chart)
-        if upper:
-            cands = _levels_below(pooled, cap, gap_tol)
-        else:
-            cands = _levels_above(pooled, cap, gap_tol)
-        level = None
+        pooled = np.unique(lam[chart.start:chart.end + 1])
+        cands = (_levels_below if upper else _levels_above)(pooled, cap, gap_tol)
+        xs = chart.start + np.flatnonzero(dims[chart.start:chart.end + 1])
         for v in cands:
-            floor_val = min(
-                _projection_floor(f, x, sections[x], v, upper=upper)
-                for x in chart.sample_indices()
-            )
-            if floor_val >= INJECTIVITY_ACCEPT:
-                level = v
+            a, b = window_columns(lam[xs], *((v, np.inf) if upper else (-np.inf, v)))
+            floor = 1.0
+            for (m,), g, K in _stacks([frames[x] for x in xs], b - a):
+                if m < K.shape[2]:
+                    floor = 0.0
+                    break
+                H = F[xs[g], :, -m:] if upper else F[xs[g], :, :m]
+                sig = np.linalg.svd(H.conj().transpose(0, 2, 1) @ K, compute_uv=False)
+                floor = min(floor, float(sig[:, -1].min()))
+            if floor >= INJECTIVITY_ACCEPT:
+                chosen.append(v)
                 break
-        if level is None:
+        else:
             raise InjectivityError(
                 f"no control level keeps the spectral projection injective on "
                 f"chart {i} (samples {chart.start}..{chart.end}); the section "
                 f"is too degenerate there"
             )
-        chosen.append(level)
     return chosen
 
 
@@ -496,18 +494,16 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
         raise ValidationError(
             f"{len(S.subspaces)} subspaces for {n} samples"
         )
-    fp = _fixed_point_radius(f, S.subspaces, gap_tol)
-    if fp is not None:
-        subs_in = S.subspaces
+    fixed = _fixed_point_radius(f, S.subspaces, gap_tol)
+    if fixed is not None:
+        (fp, ru, rl), subs_in = fixed, S.subspaces
 
         def constant_homotopy(x: int, s: float) -> Subspace:
             if not 0.0 <= s <= 1.0:
                 raise ValidationError(f"homotopy parameter {s} outside [0, 1]")
             return subs_in[x]
 
-        # the same kernel certified fp, so the sandwich holds; only the report is new
-        _, rep = is_spectral_section(f, subs_in, fp)
-        rep["fixed_point"] = True
+        rep = {**_sandwich_report(ru, rl, fp)[1], "fixed_point": True}
         return DeformationResult(
             sections=subs_in,
             radius=fp,
@@ -516,7 +512,6 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
             nu=(),
             nu_perp=(),
             pou=None,
-            intermediate=(),
             homotopy=constant_homotopy,
             report=rep,
         )

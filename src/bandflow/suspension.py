@@ -27,10 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from .atlas import DEFAULT_GAP_TOL
+from .atlas import DEFAULT_GAP_TOL, band_gap_error
 from .errors import ModelViolationError, ValidationError
 from .families import OperatorFamily
-from .flow import band_gap_error, net_up_crossings
+from .flow import net_up_crossings
 from .linalg import as_hermitian, hermitian_eig_stack, plane_certificate, window_boundary_error
 
 SPECTRUM_IDENTITY_TOL = 1e-9

@@ -178,6 +178,16 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, spec, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gap_tol", ["-1", "nan", "inf"])
+def test_bad_gap_tol_exits_1_without_a_report(tmp_path, capsys, gap_tol):
+    code, out = run(tmp_path, {"generator": "crossing", "params": {"samples": 21}},
+                    ["flow", f"--eps-gap-tol={gap_tol}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ValidationError: gap tolerance must be "
+                                              f"finite and nonnegative, got {float(gap_tol)}")
+    assert not out.exists()
+
+
 def test_nested_grid_samples_name_their_fault(tmp_path, capsys):
     code, _ = run(tmp_path, _nested_grid_spec(), ["flow"])
     assert code == 1
@@ -470,7 +480,7 @@ def test_section_file_full_deformation(tmp_path):
     assert report["outputs"]["radius"][0] == pytest.approx(1.75, abs=1e-9)
 
 
-def test_commands_read_windows_off_the_spectral_plane(tmp_path, monkeypatch):
+def test_commands_read_windows_off_the_spectral_plane(tmp_path, monkeypatch, window_builds):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-sample spectral route was called")
 
@@ -479,14 +489,22 @@ def test_commands_read_windows_off_the_spectral_plane(tmp_path, monkeypatch):
         if name.partition(".")[0] == "bandflow" and hasattr(module, "spectral_projection"):
             monkeypatch.setattr(module, "spectral_projection", refuse)
     spec_path, section_path = _tilted_loop_files(tmp_path)
+    window_builds.clear()
     assert main(["section", "--spec", str(spec_path), "--out", str(tmp_path / "deform"),
                  "--section-file", str(section_path)]) == 0
+    # only the members of the deformation chains are read one sample at a time
+    outputs = read_report(tmp_path / "deform", "section_report.json")["outputs"]
+    chains = {(v, np.inf) for v in outputs["nu"]} | {(-np.inf, v) for v in outputs["nu_perp"]}
+    assert window_builds and set(window_builds) <= chains
+    window_builds.clear()
     for k, (name, argv) in enumerate([("random_smooth", ["flow"]),
                                       ("rotation", ["section", "--auto"]),
                                       ("crossing", ["suspend"]),
-                                      ("crossing", ["polarize"])]):
+                                      ("crossing", ["polarize"]),
+                                      ("random_smooth", ["section"])]):
         (tmp_path / str(k)).mkdir()
         assert run(tmp_path / str(k), {"generator": name}, argv)[0] == 0
+    assert window_builds == []
 
 
 def test_section_emit_frames(tmp_path):

@@ -21,7 +21,9 @@ from bandflow import (
     window_subspace,
 )
 from bandflow.families import _validated_stack, window_steps
-from bandflow.linalg import HERMITIAN_TOL_FACTOR, checked_stack, window_boundary_error
+import bandflow.linalg
+from bandflow.linalg import (HERMITIAN_TOL_FACTOR, checked_stack, first_edge_error,
+                             window_boundary_error)
 
 from conftest import random_hermitian
 
@@ -492,6 +494,18 @@ def _walk(steps):
     return taken, None
 
 
+def _edge_reads(monkeypatch):
+    """The rows each first_edge_error call reads from here on, one entry a call."""
+    reads = []
+
+    def counted(lam, *edges):
+        reads.append(len(lam))
+        return first_edge_error(lam, *edges)
+
+    monkeypatch.setattr(bandflow.linalg, "first_edge_error", counted)
+    return reads
+
+
 @pytest.mark.parametrize("name, params, start, end, a, b", [
     ("random_smooth", {"dim": 5, "seed": 4, "samples": 60}, 0, 59, -0.3, 0.3),
     ("random_smooth", {"dim": 8, "seed": 1, "samples": 80}, 10, 45, 0.1, np.inf),
@@ -500,10 +514,12 @@ def _walk(steps):
     ("crossing", {"k": 1, "m": 1}, 0, 100, -0.105, 0.105),
     ("crossing", {"k": 2, "m": 2, "samples": 31}, 3, 3, -0.2, 0.2),
 ])
-def test_window_steps_match_per_step_walk(name, params, start, end, a, b):
+def test_window_steps_match_per_step_walk(monkeypatch, name, params, start, end, a, b):
     f = generate(name, **params)
     ref, ref_err = _walk(_reference_steps(f, start, end, a, b))
+    reads = _edge_reads(monkeypatch)
     got, err = _walk(window_steps(f, start, end, a, b))
+    assert reads == [end - start + 1]  # one edge read per walk
     assert ref_err is None and err is None
     assert [k for k, _ in got] == [k for k, _ in ref] == list(range(start + 1, end + 1))
     assert np.allclose([d for _, d in got], [d for _, d in ref], rtol=0, atol=1e-12)
@@ -516,10 +532,12 @@ def test_window_steps_match_per_step_walk(name, params, start, end, a, b):
     (0, 100, -1.5, 0.2),        # 0.2 is t - 0.5 at sample 70, up to roundoff
     (0, 100, 0.3, -0.3),        # empty window
 ])
-def test_window_steps_raise_where_the_per_step_walk_does(start, end, a, b):
+def test_window_steps_raise_where_the_per_step_walk_does(monkeypatch, start, end, a, b):
     f = generate("crossing", k=1, m=2)
     ref = _walk(_reference_steps(f, start, end, a, b))
+    reads = _edge_reads(monkeypatch)
     got = _walk(window_steps(f, start, end, a, b))
+    assert len(reads) == (1 if a < b else 0)  # an empty window raises before any edge read
     assert ref[1] is not None
     assert [k for k, _ in got[0]] == [k for k, _ in ref[0]]
     assert got[1] == ref[1]

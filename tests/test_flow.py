@@ -26,6 +26,7 @@ from bandflow import (
     spectral_flow_routes,
     spectral_projection,
     subspace_distance,
+    window_subspace,
 )
 from bandflow import Atlas, AdaptedChart
 import bandflow.flow
@@ -58,6 +59,20 @@ def test_enhanced_check_band():
     assert enh.interior_rank == 1
     assert subspace_distance(enh.band, span([0, 1, 0])) < 1e-12
     assert enh.eps == 1.0
+
+
+@pytest.mark.parametrize("gap_tol", [-1.0, np.nan, np.inf])
+def test_bad_gap_tol_is_rejected(gap_tol):
+    # a negative clearance let a radius of 1.5 pass the frozen-band guard 1.5 < 1 - gap_tol
+    with pytest.raises(ValidationError, match="gap tolerance must be finite and nonnegative"):
+        enhanced_check(np.diag([0.2, 1.0]), 1.5, declared_bands=(0, 1), gap_tol=gap_tol)
+    with pytest.raises(ValidationError, match="gap tolerance"):
+        polarized_triple(np.diag([0.2, 1.0]), 0.5, gap_tol=gap_tol)
+    f = generate("crossing", samples=21)
+    with pytest.raises(ValidationError, match="gap tolerance"):
+        build_atlas(f, gap_tol=gap_tol)
+    with pytest.raises(ValidationError, match="gap tolerance"):
+        check_atlas(f, build_atlas(f), gap_tol)
 
 
 def test_enhanced_check_full_band():
@@ -227,7 +242,49 @@ def test_index_chain_builds_subspaces_only_at_overlaps(window_builds, name, para
     f = generate(name, **params)
     atlas = build_atlas(f, max_chart_len=12)
     chain = index_chain(f, atlas)
-    assert chain.overlaps and 0 < len(window_builds) <= 4 * len(chain.overlaps)
+    assert chain.overlaps and window_builds == []
+    want = reference_overlap_frames(f, atlas, [ov.sample for ov in chain.overlaps])
+    for ov, frames in zip(chain.overlaps, want):
+        got = [ov.small_band.frame, ov.big_band.frame]
+        if ov.eps_big > ov.eps_small:
+            got += [ov.u_minus.frame, ov.u_plus.frame]
+        else:
+            assert ov.u_minus.dim == ov.u_plus.dim == 0
+        assert len(got) == len(frames)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, frames))
+    if name == "truncated_shift_flow":  # some overlaps have equal radii on both sides
+        assert any(ov.eps_big == ov.eps_small for ov in chain.overlaps)
+
+
+def reference_overlap_frames(f, atlas, samples):
+    """The per-sample window_subspace reads of each overlap that index_chain
+    replaced: the small band, the big band, and the annuli when e2 > e1."""
+    out = []
+    for j, y in enumerate(samples):
+        e1 = min(atlas.charts[j].eps, atlas.charts[j + 1].eps)
+        e2 = max(atlas.charts[j].eps, atlas.charts[j + 1].eps)
+        windows = [(-e1, e1), (-e2, e2)] + ([(-e2, -e1), (e1, e2)] if e2 > e1 else [])
+        out.append([window_subspace(f, y, a, b).frame for a, b in windows])
+    return out
+
+
+@pytest.mark.parametrize("overlap_row, edge", [
+    ((-0.75, 0.5, 1.0), "0.5"),  # on e1
+    ((-0.7, 0.5, 1.0), "0.5"),  # on e1 and -e2: the small band reads e1 first
+    ((-0.7, 0.45, 1.0), "-0.7"),  # on -e2 only
+])
+def test_index_chain_overlap_edge_raises_as_the_per_sample_reads(monkeypatch, overlap_row, edge):
+    # check_atlas would stop these atlases first; bypassed, the overlap read must
+    # raise what the per-sample window_subspace reads raised
+    f = diag_path((-0.75, 0.45, 1.0), overlap_row, (-0.75, 0.45, 1.0))
+    atlas = Atlas((AdaptedChart(0, 1, 0.7), AdaptedChart(1, 2, 0.5)))
+    monkeypatch.setattr(bandflow.flow, "check_atlas", lambda *args: (True, "valid atlas"))
+    with pytest.raises(SpectralBoundaryError) as want:
+        reference_overlap_frames(f, atlas, [1])
+    with pytest.raises(SpectralBoundaryError) as got:
+        index_chain(f, atlas, gap_tol=0.0)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"eigenvalue {edge} sits at window endpoint {edge} ")
 
 
 @pytest.mark.parametrize("diagonals, charts", [

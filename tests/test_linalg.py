@@ -167,6 +167,17 @@ def test_absolute_value_square_identity(seed):
     assert np.abs(absB @ absB - B.conj().T @ B).max() <= 1e-9 * scale
 
 
+def test_absolute_value_keeps_a_small_band_under_a_large_norm():
+    # through B*B the band below 0.0502 came out 1.8e-3 from the plane's band
+    Q, _ = np.linalg.qr(random_complex(np.random.default_rng(0), 3))
+    A = as_hermitian(Q @ np.diag([0.05, 0.0505, 5e4]) @ Q.conj().T)
+    dec = hermitian_eig(A)
+    band = Subspace(3, dec.frame[:, np.abs(dec.eigenvalues) < 0.0502])
+    low = spectral_projection(absolute_value(A), -1.0, 0.0502)
+    assert low.dim == band.dim == 1
+    assert subspace_distance(low, band) <= 1e-6
+
+
 def test_polar_shift_matrix():
     U = polar_partial_isometry(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.allclose(U.matrix @ np.array([0.0, 1.0]), [1.0, 0.0])

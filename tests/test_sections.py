@@ -407,7 +407,12 @@ def test_fixed_point_rounds_match_the_sequential_search(dim, seed, cut, tilt, ga
     if want is None or isinstance(want, str):
         assert got == want
     else:
-        assert np.array_equal(got, want)
+        radius, *res = got
+        assert np.array_equal(radius, want)
+        # the residuals that accepted the radius are those of one pass at it
+        full = window_inclusions(f.eigenvalues, f.frames, radius, -radius,
+                                 [V.frame for V in subs])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(res, full))
 
 
 # per case: the sample that runs out of candidates, the sample that meets an
@@ -491,6 +496,24 @@ def test_deform_returns_spectral_input_unchanged():
     assert res.homotopy(3, 0.7) is S.subspaces[3]
     with pytest.raises(ValidationError, match="outside"):
         res.homotopy(0, 1.5)
+
+
+@pytest.mark.parametrize("name, params, cut", [
+    ("constant", {}, 0.0),
+    ("truncated_shift_flow", {}, 0.5),
+    ("random_smooth", {"dim": 4, "seed": 2, "samples": 40, "loop": True}, 0.1),
+])
+def test_fixed_point_report_is_the_sandwich_report_at_its_radius(monkeypatch, name, params, cut):
+    f = generate(name, **params)
+    S = tilt_section(f, make_weak_section(f, cut), 1e-9)  # residuals of about 1e-9
+    passes = []
+    monkeypatch.setattr(sections, "window_inclusions",
+                        lambda *args: passes.append(args[2]) or window_inclusions(*args))
+    res = deform_to_spectral_section(f, S)
+    assert res.report.pop("fixed_point") is True
+    assert sum(len(r) for r in passes) == f.n_samples  # no second sandwich pass
+    assert res.report == is_spectral_section(f, S, res.radius)[1]
+    assert res.report["upper_residual"] > 0.0 or res.report["lower_residual"] > 0.0
 
 
 def test_deform_fixed_point_shift_flow_window():

@@ -76,6 +76,15 @@ def reference_spectrum_check(A, t):
     return devs[0] if scalar else np.array(devs)
 
 
+def _gram_absolute_value(B):
+    """|B| through the Gram route: the eigh of B*B, square roots of its
+    eigenvalues clipped at 0, symmetrized."""
+    H = B.conj().T @ B
+    lam, F = np.linalg.eigh(0.5 * (H + H.conj().T))
+    out = (F * np.sqrt(np.clip(lam, 0.0, None))) @ F.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
 def reference_band_distances(A, eps, t):
     """Per angle of t, the distance between the band of the solved |B(t)|
     below delta(t) and enhanced_check's band of A; inf when the ranks differ."""
@@ -87,7 +96,8 @@ def reference_band_distances(A, eps, t):
     dists = []
     for tk in ts:
         delta = float(np.sqrt(np.cos(tk) ** 2 + eps**2 * np.sin(tk) ** 2))
-        low_susp = spectral_projection(absolute_value(_suspension_operator(A, tk)), -1.0, delta)
+        low_susp = spectral_projection(_gram_absolute_value(_suspension_operator(A, tk)), -1.0,
+                                       delta)
         dists.append(subspace_distance(low_susp, low_base) if low_susp.dim == low_base.dim
                      else np.inf)
     return np.array(dists)
