@@ -46,6 +46,21 @@ def _section_file(tilt):
     return {"reference_cut": 1.0, "subspaces": [{"columns": [column]}] * 21}
 
 
+def _sine_loop_spec():
+    """Exact loop of diag(sin 2 pi s, 2.0) over 40 samples: one branch
+    crosses zero twice, the top band stays at 2."""
+    t = np.linspace(0.0, 1.0, 40)
+    real = [np.diag([np.sin(2 * np.pi * s), 2.0]).tolist() for s in t]
+    grid = {"closure": "exact_loop", "kind": "circle_loop", "samples": t.tolist()}
+    return {"sampled": {"dim": 2, "grid": grid, "matrices": {"real": real}}}
+
+
+def _tilted_loop_section(tilt):
+    """The top band e2 of _sine_loop_spec tilted toward e1, at every sample."""
+    column = [{"im": 0.0, "re": float(np.sin(tilt))}, {"im": 0.0, "re": float(np.cos(tilt))}]
+    return {"reference_cut": 1.5, "subspaces": [{"columns": [column]}] * 40}
+
+
 # (job name, spec object, argv after the subcommand's --spec/--out, extra
 # input files written next to the spec)
 JOBS = (
@@ -69,6 +84,12 @@ JOBS = (
     ("section_file_tilted", _sampled_diagonal_spec(),
      ["section", "--section-file", "section.json", "--emit-frames"],
      {"section.json": _section_file(0.3)}),
+    ("section_file_tilted_charts", _sampled_diagonal_spec(),
+     ["section", "--section-file", "section.json", "--max-chart-len", "6", "--emit-frames"],
+     {"section.json": _section_file(0.3)}),
+    ("section_loop_tilted_charts", _sine_loop_spec(),
+     ["section", "--section-file", "section.json", "--max-chart-len", "10", "--emit-frames"],
+     {"section.json": _tilted_loop_section(0.2)}),
     ("section_auto_exists", {"generator": "rotation", "params": {"samples": 40}},
      ["section", "--auto", "--emit-frames"], {}),
     ("section_auto_obstructed",
