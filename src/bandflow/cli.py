@@ -589,11 +589,12 @@ def cmd_suspend(args) -> int:
 
 def cmd_section(args) -> int:
     f, raw, opts = _load(args, ["eps_gap_tol", "max_chart_len"])
-    opts["auto"] = bool(args.auto)
+    # an open path falls through to deformation mode, which --auto leaves as is
+    opts["auto"] = bool(args.auto) and f.grid.closure != "open_path"
     opts["section_file"] = None
     out = Path(args.out)
 
-    if args.auto and f.grid.closure != "open_path":
+    if opts["auto"]:
         data = section_existence(f, gap_tol=args.eps_gap_tol,
                                  max_chart_len=args.max_chart_len)
         if not data.exists:

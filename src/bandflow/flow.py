@@ -41,7 +41,6 @@ from .linalg import (
     PartialIsometry,
     Subspace,
     as_hermitian,
-    first_edge_error,
     hermitian_eig,
     svd_matched,
     window_columns,
@@ -202,11 +201,11 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     Within every chart the change of the below-zero count between the
     transition samples is asserted to equal the net signed zero crossings
     there. At every overlap the larger band is the smaller band plus the two
-    annular windows by construction: once one first_edge_error over the
-    overlap rows finds -e2 <= -e1 < e1 <= e2 clear of the spectrum, they cut
-    each frame into the column runs u_minus, small band and u_plus (the
-    annuli empty when e1 == e2), whose union is the big band.
-    Only overlaps get subspaces: check_atlas has walked each chart's window.
+    annular windows by construction: -e2 <= -e1 < e1 <= e2 cut each frame
+    into the column runs u_minus, small band and u_plus (the annuli empty
+    when e1 == e2), whose union is the big band. No edge needs a check of its
+    own: an overlap sample lies in both charts, and check_atlas has walked
+    each chart's window over all its samples.
     """
     ok, report = check_atlas(f, atlas, gap_tol)
     if not ok:
@@ -245,10 +244,6 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
 
     eps = np.array([c.eps for c in charts])
     e1, e2 = np.minimum(eps[:-1], eps[1:]), np.maximum(eps[:-1], eps[1:])
-    # edges in the order the small band, the big band and the annuli read them
-    hit = first_edge_error(lam[overlap_samples], -e1, e1, -e2, e2)
-    if hit is not None:
-        raise hit[1]
     cuts = (lam[overlap_samples][:, :, None] < np.array([-e2, -e1, e1, e2]).T[:, None]).sum(axis=1)
     overlaps = []
     for j, (y, (c0, c1, c2, c3)) in enumerate(zip(overlap_samples, cuts.tolist())):

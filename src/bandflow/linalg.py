@@ -559,32 +559,52 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return np.clip(t, 0.0, None)
 
 
-def _combination_operator(chain: list[Subspace], t: np.ndarray) -> np.ndarray:
-    """Sum t_i P_i over the chain.
+def _combination_product(K: np.ndarray, chain, t: np.ndarray) -> np.ndarray:
+    """M K for M = sum_i t_i P_i over the nested chain frames, from the
+    projectors P_i formed in chain order.
 
-    Writing s_i for the partial sums of t and q_i for the projector onto the
-    orthogonal complement of chain[i+1] inside chain[i], the same operator
-    equals sum_i s_i q_i plus the projector onto the last chain member: with
-    the weights summing to 1 (_check_weights) that telescoping is algebra.
+    The projection onto the last member must be injective on the span of the
+    frame K: its smallest singular value below INJ_TOL raises InjectivityError
+    carrying the worst direction. Writing s_i for the partial sums of t and
+    q_i for the projector onto the orthogonal complement of chain[i+1] inside
+    chain[i], M equals sum_i s_i q_i plus the projector onto the last member:
+    with the weights summing to 1 that telescoping is algebra.
     """
-    return sum(ti * H.projector() for ti, H in zip(t, chain))
+    P = [H @ H.conj().T for H in chain]
+    if K.shape[1]:
+        mapped = P[-1] @ K
+        smin = float(np.linalg.svd(mapped, compute_uv=False)[-1])
+        if smin < INJ_TOL:
+            err = InjectivityError(
+                f"projection onto the chain tail is not injective on the input "
+                f"subspace (smallest singular value {smin:.3e} < {INJ_TOL:.0e})"
+            )
+            err.direction = K @ np.linalg.svd(mapped, full_matrices=False)[2].conj().T[:, -1]
+            raise err
+    return sum(ti * Pi for ti, Pi in zip(t, P)) @ K
 
 
-def _check_tail_injectivity(K: Subspace, tail: Subspace) -> None:
-    if K.dim == 0:
-        return
-    mapped = tail.projector() @ K.frame
-    sigma = np.linalg.svd(mapped, compute_uv=False)
-    smin = float(sigma[-1]) if sigma.size else 0.0
-    if smin < INJ_TOL:
-        full = np.linalg.svd(mapped, full_matrices=False)
-        direction = K.frame @ full[2].conj().T[:, -1]
-        err = InjectivityError(
-            f"projection onto the chain tail is not injective on the input "
-            f"subspace (smallest singular value {smin:.3e} < {INJ_TOL:.0e})"
+def _combination_image(MK: np.ndarray, top: np.ndarray) -> Subspace:
+    """The span of MK, orthonormalized, which must keep MK's column count
+    (orthonormal_image's expect_dim) and lie inside the span of the frame top."""
+    out = Subspace(MK.shape[0], orthonormal_image(MK, expect_dim=MK.shape[1]))
+    resid = float(_inclusion_stack(out.frame[None], top[None])[0])
+    if resid > 1e-8:
+        raise ModelViolationError(
+            f"combination image escapes the top chain member: residual {resid:.3e}"
         )
-        err.direction = direction
-        raise err
+    return out
+
+
+def _combination_step(K: Subspace, MK: np.ndarray, s: float) -> Subspace:
+    """The span of (1 - s) K + s M K; a rank drop raises PathDegeneracyError."""
+    if K.dim == 0:
+        return K
+    mapped = (1.0 - s) * K.frame + s * MK
+    sigma = np.linalg.svd(mapped, compute_uv=False)
+    if float(sigma[-1]) <= 1e-10 * float(sigma[0]):
+        raise PathDegeneracyError(f"path loses dimension at s = {s}")
+    return Subspace(K.ambient_dim, orthonormal_image(mapped, expect_dim=K.dim))
 
 
 def convex_combination_image(K: Subspace, chain: list[Subspace], weights) -> Subspace:
@@ -597,16 +617,8 @@ def convex_combination_image(K: Subspace, chain: list[Subspace], weights) -> Sub
     """
     _check_chain(chain)
     t = _check_weights(weights, len(chain))
-    _check_tail_injectivity(K, chain[-1])
-    M = _combination_operator(chain, t)
-    frame = orthonormal_image(M @ K.frame, expect_dim=K.dim)
-    out = Subspace(K.ambient_dim, frame)
-    resid = inclusion_residual(out, chain[0])
-    if resid > 1e-8:
-        raise ModelViolationError(
-            f"combination image escapes the top chain member: residual {resid:.3e}"
-        )
-    return out
+    return _combination_image(_combination_product(K.frame, [H.frame for H in chain], t),
+                              chain[0].frame)
 
 
 def combination_path(K: Subspace, chain: list[Subspace], weights, s: float) -> Subspace:
@@ -620,13 +632,4 @@ def combination_path(K: Subspace, chain: list[Subspace], weights, s: float) -> S
         raise ValidationError(f"path parameter s={s} outside [0, 1]")
     _check_chain(chain)
     t = _check_weights(weights, len(chain))
-    _check_tail_injectivity(K, chain[-1])
-    if K.dim == 0:
-        return K
-    M = _combination_operator(chain, t)
-    mapped = (1.0 - s) * K.frame + s * (M @ K.frame)
-    sigma = np.linalg.svd(mapped, compute_uv=False)
-    if sigma.size and float(sigma[-1]) <= 1e-10 * float(sigma[0]):
-        raise PathDegeneracyError(f"path loses dimension at s = {s}")
-    frame = orthonormal_image(mapped, expect_dim=K.dim)
-    return Subspace(K.ambient_dim, frame)
+    return _combination_step(K, _combination_product(K.frame, [H.frame for H in chain], t), s)

@@ -6,8 +6,8 @@ pushes such a section, one partition-of-unity combination at a time, into a
 section pinched between spectral windows: above radius r(x) fully inside,
 below -r(x) fully orthogonal. The two passes mirror each other, first gaining
 control from below on the section, then from above on its complement.
-Windows are runs of the spectral plane's columns, read for all samples at
-once; only the deformation chains, lists of Subspace, are read per sample.
+Every window, the members of the deformation chains included, is a run of
+the spectral plane's frame columns; nothing reads a sample's spectrum again.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from .errors import (
     ModelViolationError,
     ValidationError,
 )
-from .families import OperatorFamily, window_subspace
+from .families import OperatorFamily
 from .flow import spectral_flow_routes
 from .linalg import (
     Subspace,
+    _combination_image,
+    _combination_product,
+    _combination_step,
     _stacks,
-    combination_path,
-    convex_combination_image,
     first_edge_error,
     orthogonal_complement,
     subspace_distances,
@@ -449,6 +450,37 @@ def _pick_chart_levels(f: OperatorFamily, atlas: Atlas, sections, cap: float,
     return chosen
 
 
+def _deformation_pass(f: OperatorFamily, pou: PartitionOfUnity, levels, inputs, upper: bool):
+    """Images, products M K and outermost levels of one deformation pass.
+
+    At sample x the active charts, ordered by level (ascending when upper,
+    descending otherwise, ties by chart), give the nested chain of windows
+    above (below) their levels: runs of the sample's frame columns. The
+    input K is mapped by M = sum of tent weight times window projector; the
+    image must keep K's dimension inside the outermost window, whose level
+    is returned. Errors come in the order of a sample-by-sample run: one
+    first_edge_error over every (sample, chart) row reads the edges as
+    window_subspace does, and a sample's edges go before its combination.
+    """
+    lam, levels = f.eigenvalues, np.asarray(levels)
+    orders = [sorted(pou.active_charts(x), key=lambda i: (levels[i] if upper else -levels[i], i))
+              for x in range(f.n_samples)]
+    sizes = [len(o) for o in orders]
+    rows, edges = np.repeat(np.arange(f.n_samples), sizes), levels[np.concatenate(orders)]
+    table = lam[rows]
+    hit = first_edge_error(table, edges)
+    cuts = ((table <= edges[:, None]) if upper else (table < edges[:, None])).sum(axis=1)
+    images, products, at = [], [], np.cumsum([0] + sizes)
+    for x in range(f.n_samples if hit is None else rows[hit[0]]):
+        F = f.frames[x]
+        chain = [F[:, c:] if upper else F[:, :c] for c in cuts[at[x]:at[x + 1]].tolist()]
+        products.append(_combination_product(inputs[x].frame, chain, pou.weights[orders[x], x]))
+        images.append(_combination_image(products[-1], chain[0]))
+    if hit is not None:
+        raise hit[1]
+    return images, products, edges[at[:-1]]
+
+
 @dataclass(frozen=True, eq=False)
 class DeformationResult:
     """Outcome of the two-pass deformation.
@@ -482,8 +514,9 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
     construction on orthogonal complements with levels nu_perp above the
     cut. The result is pinched between Im P above mu_perp and Im P above mu,
     and the returned radius turns that pinch into the sandwich property,
-    verified before returning. No pass changes a fibre's dimension:
-    convex_combination_image and orthogonal_complement fix every one.
+    verified before returning. No pass changes a fibre's dimension: each
+    combination image keeps it (expect_dim), as orthogonal_complement does.
+    The homotopy reuses each pass's products M K.
 
     An input whose subspaces already satisfy the sandwich at some
     sub-spectral radius is returned unchanged with a constant homotopy; the
@@ -533,48 +566,15 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
     cut0 = min(0.0, S.reference_cut)
     cut1 = max(0.0, S.reference_cut)
     nu = _pick_chart_levels(f, atlas, S.subspaces, cut0, gap_tol, upper=True)
-
-    chains1, weights1 = [], []
-    first_pass = []
-    mu = np.zeros(n)
-    for x in range(n):
-        active = pou.active_charts(x)
-        order = sorted(active, key=lambda i: (nu[i], i))
-        chain = [window_subspace(f, x, nu[i], np.inf) for i in order]
-        w = np.array([pou.weights[i, x] for i in order])
-        L = convex_combination_image(S.subspaces[x], chain, w)
-        first_pass.append(L)
-        chains1.append(chain)
-        weights1.append(w)
-        mu[x] = float(np.dot(pou.plateaus[:, x], nu))
-        if mu[x] > min(nu[i] for i in active) + 1e-12:
-            raise ModelViolationError(
-                f"lower control envelope exceeds an active level at sample {x}"
-            )
-
+    first_pass, products1, bottom = _deformation_pass(f, pou, nu, S.subspaces, upper=True)
     complements = [orthogonal_complement(L) for L in first_pass]
     nu_perp = _pick_chart_levels(f, atlas, complements, cut1, gap_tol, upper=False)
-
-    chains2, weights2 = [], []
-    final = []
-    mu_perp, top, bottom = np.zeros(n), np.zeros(n), np.zeros(n)
-    for x in range(n):
-        active = pou.active_charts(x)
-        order = sorted(active, key=lambda i: (-nu_perp[i], i))
-        chain = [window_subspace(f, x, -np.inf, nu_perp[i]) for i in order]
-        w = np.array([pou.weights[i, x] for i in order])
-        Mp = convex_combination_image(complements[x], chain, w)
-        M = orthogonal_complement(Mp)
-        final.append(M)
-        chains2.append(chain)
-        weights2.append(w)
-        mu_perp[x] = float(np.dot(pou.plateaus[:, x], nu_perp))
-        top[x] = max(nu_perp[i] for i in active)
-        bottom[x] = min(nu[i] for i in active)
-        if mu_perp[x] < top[x] - 1e-12:
-            raise ModelViolationError(
-                f"upper control envelope undercuts an active level at sample {x}"
-            )
+    images, products2, top = _deformation_pass(f, pou, nu_perp, complements, upper=False)
+    final = [orthogonal_complement(Mp) for Mp in images]
+    # the plateaus are 1 exactly on the active charts and nu <= 0 <= nu_perp, so
+    # mu is at most and mu_perp at least every active level
+    mu = np.array([float(np.dot(pou.plateaus[:, x], nu)) for x in range(n)])
+    mu_perp = np.array([float(np.dot(pou.plateaus[:, x], nu_perp)) for x in range(n)])
 
     # pinch inclusions: window above the top active nu_perp inside M, and
     # M inside the window above the bottom active nu
@@ -597,16 +597,12 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
     if not ok:
         raise ModelViolationError(f"deformed section fails the sandwich test: {rep}")
 
-    sections_in = S.subspaces
-    comp_in = complements
-
     def homotopy(x: int, s: float) -> Subspace:
         if not 0.0 <= s <= 1.0:
             raise ValidationError(f"homotopy parameter {s} outside [0, 1]")
         if s <= 0.5:
-            return combination_path(sections_in[x], chains1[x], weights1[x], 2.0 * s)
-        part = combination_path(comp_in[x], chains2[x], weights2[x], 2.0 * s - 1.0)
-        return orthogonal_complement(part)
+            return _combination_step(S.subspaces[x], products1[x], 2.0 * s)
+        return orthogonal_complement(_combination_step(complements[x], products2[x], 2.0 * s - 1.0))
 
     return DeformationResult(
         sections=tuple(final),

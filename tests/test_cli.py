@@ -366,6 +366,20 @@ def test_section_auto_obstruction_exit_code(tmp_path):
     assert report["invariant_checks"][0]["passed"] is False
 
 
+def test_section_auto_on_an_open_path_is_the_run_without_it(tmp_path):
+    # --auto falls through to deformation mode on an open path, so it must not
+    # enter options, and with them inputs_digest
+    spec = write_spec(tmp_path, {"generator": "crossing", "params": {"samples": 21}})
+    codes, reports = [], []
+    for k, flags in enumerate([[], ["--auto"]]):
+        out = tmp_path / f"out{k}"
+        codes.append(main(["section", "--spec", str(spec), "--out", str(out)] + flags))
+        reports.append((out / "section_report.json").read_bytes())
+    assert codes == [1, 1]  # the weak-section check fails, as without the flag
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["options"]["auto"] is False
+
+
 def test_main_parses_each_call_afresh_with_one_parser(tmp_path):
     """main keeps one parser; no flag of a call reaches the next one."""
     spec = write_spec(tmp_path, {"generator": "rotation"})
@@ -491,12 +505,10 @@ def test_commands_read_windows_off_the_spectral_plane(tmp_path, monkeypatch, win
     spec_path, section_path = _tilted_loop_files(tmp_path)
     window_builds.clear()
     assert main(["section", "--spec", str(spec_path), "--out", str(tmp_path / "deform"),
-                 "--section-file", str(section_path)]) == 0
-    # only the members of the deformation chains are read one sample at a time
-    outputs = read_report(tmp_path / "deform", "section_report.json")["outputs"]
-    chains = {(v, np.inf) for v in outputs["nu"]} | {(-np.inf, v) for v in outputs["nu_perp"]}
-    assert window_builds and set(window_builds) <= chains
-    window_builds.clear()
+                 "--section-file", str(section_path), "--max-chart-len", "10",
+                 "--emit-frames"]) == 0
+    assert len(read_report(tmp_path / "deform", "section_report.json")["outputs"]["nu"]) > 1
+    assert window_builds == []
     for k, (name, argv) in enumerate([("random_smooth", ["flow"]),
                                       ("rotation", ["section", "--auto"]),
                                       ("crossing", ["suspend"]),

@@ -268,25 +268,6 @@ def reference_overlap_frames(f, atlas, samples):
     return out
 
 
-@pytest.mark.parametrize("overlap_row, edge", [
-    ((-0.75, 0.5, 1.0), "0.5"),  # on e1
-    ((-0.7, 0.5, 1.0), "0.5"),  # on e1 and -e2: the small band reads e1 first
-    ((-0.7, 0.45, 1.0), "-0.7"),  # on -e2 only
-])
-def test_index_chain_overlap_edge_raises_as_the_per_sample_reads(monkeypatch, overlap_row, edge):
-    # check_atlas would stop these atlases first; bypassed, the overlap read must
-    # raise what the per-sample window_subspace reads raised
-    f = diag_path((-0.75, 0.45, 1.0), overlap_row, (-0.75, 0.45, 1.0))
-    atlas = Atlas((AdaptedChart(0, 1, 0.7), AdaptedChart(1, 2, 0.5)))
-    monkeypatch.setattr(bandflow.flow, "check_atlas", lambda *args: (True, "valid atlas"))
-    with pytest.raises(SpectralBoundaryError) as want:
-        reference_overlap_frames(f, atlas, [1])
-    with pytest.raises(SpectralBoundaryError) as got:
-        index_chain(f, atlas, gap_tol=0.0)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"eigenvalue {edge} sits at window endpoint {edge} ")
-
-
 @pytest.mark.parametrize("diagonals, charts", [
     (((0.5, 1.0), (0.5, 1.0)), [(0, 1, 0.5)]),
     (((-0.3, 0.5, 1.0), (-0.2, 0.5, 1.0), (0.1, 0.5, 1.0)), [(0, 1, 0.7), (1, 2, 0.5)]),

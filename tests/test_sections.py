@@ -30,7 +30,13 @@ from bandflow import (
 )
 from bandflow import sections
 from bandflow.atlas import DEFAULT_GAP_TOL, gap_midpoints
-from bandflow.linalg import first_edge_error, inclusion_residual, window_inclusions
+from bandflow.linalg import (
+    first_edge_error,
+    inclusion_residual,
+    orthogonal_complement,
+    orthonormal_image,
+    window_inclusions,
+)
 from bandflow.sections import SECTION_RESIDUAL_TOL, _fixed_point_radius
 from conftest import random_subspace
 
@@ -636,6 +642,69 @@ def test_deform_random_loop_smoke():
     for x in (0, 40, 79):
         assert subspace_distance(res.homotopy(x, 0.0), S.subspaces[x]) < 1e-9
         assert subspace_distance(res.homotopy(x, 1.0), res.sections[x]) < 1e-9
+
+
+def reference_pass(f, pou, levels, inputs, upper):
+    """The per-sample route the deformation passes replaced: window_subspace
+    chains over the active charts ordered by level, the weighted sum of
+    their projectors, then orthonormal_image. Returns frames and M K."""
+    frames, products = [], []
+    for x in range(f.n_samples):
+        order = sorted(pou.active_charts(x), key=lambda i: (levels[i] if upper else -levels[i], i))
+        chain = [window_subspace(f, x, *((levels[i], np.inf) if upper else (-np.inf, levels[i])))
+                 for i in order]
+        M = sum(pou.weights[i, x] * H.projector() for i, H in zip(order, chain))
+        products.append(M @ inputs[x].frame)
+        frames.append(orthonormal_image(products[-1], expect_dim=inputs[x].dim))
+    return frames, products
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make, cut, angle, max_chart_len", [
+    (sine_loop, 1.5, 0.2, 5),
+    (sine_loop, 1.5, 0.2, 10),
+    (lambda: generate("random_smooth", dim=5, seed=2, samples=60, loop=True), None, 0.15, 8),
+    (lambda: generate("random_smooth", dim=5, seed=2, samples=60), None, 0.15, 8),
+], ids=["sine-5", "sine-10", "random-loop-8", "random-path-8"])
+def test_deformation_passes_are_bitwise_the_per_sample_route(make, cut, angle, max_chart_len):
+    f = make()
+    if cut is None:
+        cut = max(default_level_grid(f), key=lambda c: float(np.abs(f.eigenvalues - c).min()))
+    S = tilt_section(f, make_weak_section(f, cut), angle)
+    res = deform_to_spectral_section(f, S, max_chart_len=max_chart_len)
+    assert res.pou.n_charts > 1
+    first, mk1 = reference_pass(f, res.pou, res.nu, S.subspaces, upper=True)
+    assert all(_same_bits(L.frame, F) for L, F in zip(res.intermediate, first))
+    comps = [orthogonal_complement(L) for L in res.intermediate]
+    images, mk2 = reference_pass(f, res.pou, res.nu_perp, comps, upper=False)
+    final = [orthogonal_complement(Subspace(f.dim, F)) for F in images]
+    assert all(_same_bits(M.frame, R.frame) for M, R in zip(res.sections, final))
+    for x in range(0, f.n_samples, 3):
+        for s in (0.3, 0.8):
+            K, MK = (S.subspaces[x], mk1[x]) if s <= 0.5 else (comps[x], mk2[x])
+            u = 2.0 * s if s <= 0.5 else 2.0 * s - 1.0
+            want = Subspace(f.dim, orthonormal_image((1.0 - u) * K.frame + u * MK, expect_dim=K.dim))
+            if s > 0.5:
+                want = orthogonal_complement(want)
+            assert _same_bits(res.homotopy(x, s).frame, want.frame)
+
+
+def test_homotopy_call_makes_at_most_three_svds(monkeypatch):
+    f = sine_loop()
+    S = tilt_section(f, make_weak_section(f, cut=1.5), angle=0.2)
+    res = deform_to_spectral_section(f, S, max_chart_len=10)
+    overlap = [x for x in range(f.n_samples) if len(res.pou.active_charts(x)) > 1]
+    assert overlap
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for x in overlap:
+        for s, most in ((0.25, 2), (0.5, 2), (0.75, 3), (1.0, 3)):
+            calls.clear()
+            res.homotopy(x, s)
+            assert len(calls) <= most
 
 
 # ------------------------------------------------------------- existence
