@@ -92,6 +92,10 @@ JOBS = (
      {"section.json": _tilted_loop_section(0.2)}),
     ("section_auto_exists", {"generator": "rotation", "params": {"samples": 40}},
      ["section", "--auto", "--emit-frames"], {}),
+    ("section_auto_loop",
+     {"generator": "random_smooth",
+      "params": {"dim": 3, "loop": True, "samples": 60, "seed": 4}},
+     ["section", "--auto", "--emit-frames"], {}),
     ("section_auto_obstructed",
      {"generator": "truncated_shift_flow", "params": {"N": 2, "samples": 41}},
      ["section", "--auto", "--emit-frames"], {}),
