@@ -135,8 +135,10 @@ def gap_table(edges: np.ndarray, floor: float | np.ndarray | None = None,
     Each gap (a, b) is clipped to (max(a, floor), min(b, cap)); floor and cap
     broadcast against the gaps, so a (N, m) edge table may take one cap per
     row. Returns (keep, mids, clearance), each of the gaps' shape: keep marks
-    the gaps the clipping leaves nonempty, and clearance = min(mid - a,
-    b - mid) is the distance to the unclipped edges.
+    the gaps the clipping leaves nonempty, so it drops the zero-width gaps
+    between repeated edges, and clearance = min(mid - a, b - mid) is the
+    distance to the unclipped edges. The kept gaps of a row are those of its
+    distinct edges, as np.unique would leave them.
     """
     a, b = edges[..., :-1], edges[..., 1:]
     lo = a if floor is None else np.maximum(a, floor)

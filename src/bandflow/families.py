@@ -348,9 +348,9 @@ def _diag_family(columns: np.ndarray, t: np.ndarray, closure: str, shift: int = 
     """Family of diagonal matrices; columns[k] holds the k-th diagonal."""
     kind = "interval_path" if closure == "open_path" else "circle_loop"
     grid = ParameterGrid(kind=kind, samples=t, closure=closure, shift=shift)
-    ops = [np.diag(columns[:, j]).astype(np.complex128) for j in range(t.size)]
-    return OperatorFamily(grid=grid, dim=columns.shape[0], operators=tuple(ops),
-                          polarized_bands=polarized_bands)
+    n = columns.shape[0]
+    ops = np.where(np.eye(n, dtype=bool), columns.T[:, None, :], 0.0).astype(np.complex128)
+    return OperatorFamily(grid=grid, dim=n, operators=ops, polarized_bands=polarized_bands)
 
 
 def _spectator_levels(m: int) -> list:
@@ -384,17 +384,15 @@ def _rotation(m: int = 1, turns: float = 1.0, samples: int = 120) -> OperatorFam
     theta = 2.0 * math.pi * turns * t
     dim = 2 + m
     D = np.diag([-1.0, 1.0] + _spectator_levels(m)).astype(np.complex128)
-    ops = []
-    for th in theta:
-        R = np.eye(dim, dtype=np.complex128)
-        c, s = math.cos(th), math.sin(th)
-        R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
-        ops.append(R @ D @ R.conj().T)
+    c, s = (np.array([fn(th) for th in theta]) for fn in (math.cos, math.sin))
+    R = np.tile(np.eye(dim, dtype=np.complex128), (t.size, 1, 1))
+    R[:, 0, 0], R[:, 0, 1], R[:, 1, 0], R[:, 1, 1] = c, -s, s, c
+    ops = R @ D @ R.conj().transpose(0, 2, 1)
     whole_turns = abs(turns - round(turns)) < 1e-12
     closure = "exact_loop" if whole_turns else "open_path"
     kind = "circle_loop" if whole_turns else "interval_path"
     grid = ParameterGrid(kind=kind, samples=t, closure=closure)
-    return OperatorFamily(grid=grid, dim=dim, operators=tuple(ops))
+    return OperatorFamily(grid=grid, dim=dim, operators=ops)
 
 
 def _truncated_shift_flow(N: int = 3, samples: int = 101) -> OperatorFamily:
@@ -432,20 +430,23 @@ def _random_smooth(dim: int = 5, seed: int = 0, samples: int = 200,
     base = rand_herm(1.0)
     terms = [(rand_herm(0.35 / k**2), rand_herm(0.35 / k**2)) for k in range(1, harmonics + 1)]
     drift_op = None if loop else rand_herm(drift)
-    ops = []
-    for tj in t:
-        A = base.copy()
-        for k, (Bk, Ck) in enumerate(terms, start=1):
-            A = A + math.cos(2 * math.pi * k * tj) * Bk + math.sin(2 * math.pi * k * tj) * Ck
-        if drift_op is not None:
-            A = A + tj * drift_op
-        ops.append(A)
+
+    def coef(fn, k):
+        return np.array([fn(2 * math.pi * k * tj) for tj in t])[:, None, None]
+
+    # the sums run base, then cos B_k + sin C_k for k = 1, 2, ..., then t drift;
+    # another order would move the operators' last bits
+    ops = np.repeat(base[None], t.size, axis=0)
+    for k, (Bk, Ck) in enumerate(terms, start=1):
+        ops = ops + coef(math.cos, k) * Bk + coef(math.sin, k) * Ck
+    if drift_op is not None:
+        ops = ops + t[:, None, None] * drift_op
     if loop:
-        ops[-1] = ops[0].copy()
+        ops[-1] = ops[0]
         grid = ParameterGrid(kind="circle_loop", samples=t, closure="exact_loop")
     else:
         grid = ParameterGrid(kind="interval_path", samples=t, closure="open_path")
-    return OperatorFamily(grid=grid, dim=dim, operators=tuple(ops))
+    return OperatorFamily(grid=grid, dim=dim, operators=ops)
 
 
 def _constant(dim: int = 3, samples: int = 60) -> OperatorFamily:

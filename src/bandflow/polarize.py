@@ -67,14 +67,12 @@ def radius_function(atlas: Atlas, pou: PartitionOfUnity) -> np.ndarray:
     if pou.n_charts != atlas.n_charts:
         raise ValidationError("partition and atlas disagree on the chart count")
     r = pou.weights.T @ eps
-    n = r.size
-    for x in range(n):
-        active = pou.active_charts(x)
-        lo = min(eps[i] for i in active)
-        if r[x] < lo - 1e-12 or not 0.0 < r[x] < 1.0:
-            raise ValidationError(
-                f"squash radius {r[x]:.6g} at sample {x} escapes its bounds"
-            )
+    # smallest radius of the charts active (weight > 0) at each sample
+    lo = np.where(pou.weights > 0, eps[:, None], np.inf).min(axis=0)
+    bad = np.flatnonzero((r < lo - 1e-12) | ~((0.0 < r) & (r < 1.0)))
+    if bad.size:
+        x = bad[0]
+        raise ValidationError(f"squash radius {r[x]:.6g} at sample {x} escapes its bounds")
     return r
 
 

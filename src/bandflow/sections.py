@@ -17,7 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .atlas import DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas, gap_midpoints
+from .atlas import (DEFAULT_GAP_TOL, DEFAULT_MAX_CHART_LEN, Atlas, build_atlas, check_atlas,
+                    gap_midpoints, gap_table)
 from .errors import (
     AtlasBuildError,
     InjectivityError,
@@ -340,15 +341,30 @@ def _levels_above(pooled: np.ndarray, cap: float, gap_tol: float) -> list:
     return out
 
 
-def _aligned_radius(abs_vals: np.ndarray, r0: float, clearance: float) -> float:
-    """Smallest radius at least r0 keeping a safe distance from |spectrum|."""
-    r0 = max(r0, clearance)
-    vals = np.asarray(abs_vals, dtype=float)
-    if vals.size == 0 or float(np.abs(vals - r0).min()) >= clearance:
-        return r0
-    mids, clear = gap_midpoints(np.concatenate(([0.0], vals)), floor=r0)
-    mids = mids[clear >= clearance]
-    return float(mids[0]) if mids.size else float(max(r0, float(vals[-1]) + 1.0))
+def _abs_gaps(abs_table: np.ndarray, floor=None) -> tuple:
+    """gap_table of each row of an (N, n) sorted |spectrum| table with 0 prepended."""
+    return gap_table(np.pad(abs_table, ((0, 0), (1, 0))), floor=floor)
+
+
+def _gap_candidates(abs_table: np.ndarray, gap_tol: float) -> tuple:
+    """(ok, mids) over _abs_gaps: ok marks the positive midpoints clearing gap_tol."""
+    keep, mids, clear = _abs_gaps(abs_table)
+    return keep & (clear >= gap_tol) & (mids > 0.0), mids
+
+
+def _aligned_radii(abs_table: np.ndarray, r0: np.ndarray, clearance: float) -> np.ndarray:
+    """Per row, the smallest radius at least max(r0, clearance) keeping a safe
+    distance from |spectrum|: that floor when it clears every |lam| by
+    clearance, else the first gap midpoint above it that does, else one past
+    the top."""
+    r0 = np.maximum(r0, clearance)
+    # a gap the floor empties, or a zero-width one, has clearance <= 0; at
+    # clearance 0 every row keeps its floor
+    _, mids, clear = _abs_gaps(abs_table, floor=r0[:, None])
+    ok = clear >= clearance
+    first = mids[np.arange(len(ok)), ok.argmax(axis=1)]
+    moved = np.where(ok.any(axis=1), first, np.maximum(r0, abs_table[:, -1] + 1.0))
+    return np.where(np.abs(abs_table - r0[:, None]).min(axis=1) >= clearance, r0, moved)
 
 
 def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
@@ -376,12 +392,8 @@ def _fixed_point_radius(f: OperatorFamily, subs, gap_tol: float):
     frames, lam, n = [V.frame for V in subs], f.eigenvalues, f.n_samples
     if any(V.shape[0] != f.dim for V in frames):
         raise ValidationError("ambient dims differ")
-    cands = []
-    for row in f.abs_eigenvalues:
-        mids, clear = gap_midpoints(np.concatenate([[0.0], np.unique(row)]))
-        cands.append(mids[(clear >= gap_tol) & (mids > 0.0)])
-    sizes = np.array([c.size for c in cands])
-    c, owner = np.concatenate(cands), np.repeat(np.arange(n), sizes)
+    ok, mids = _gap_candidates(f.abs_eigenvalues, gap_tol)
+    c, owner, sizes = mids[ok], np.nonzero(ok)[0], ok.sum(axis=1)
     offset = np.cumsum(sizes) - sizes
     # V_x of dim k passes only if count(lam > m) <= k <= count(lam > -m): with lam[x]
     # ascending and padded by -inf and inf, m >= padded[x, j] and m > -padded[x, j + 1]
@@ -588,11 +600,7 @@ def deform_to_spectral_section(f: OperatorFamily, S: WeakSpectralSection,
             f"residuals {res_up[x]:.3e}, {res_dn[x]:.3e}"
         )
 
-    radius = np.zeros(n)
-    for x in range(n):
-        r0 = max(abs(mu[x]), abs(mu_perp[x]))
-        abs_vals = np.unique(f.abs_eigenvalues[x])
-        radius[x] = _aligned_radius(abs_vals, r0, gap_tol)
+    radius = _aligned_radii(f.abs_eigenvalues, np.maximum(np.abs(mu), np.abs(mu_perp)), gap_tol)
     ok, rep = is_spectral_section(f, final, radius)
     if not ok:
         raise ModelViolationError(f"deformed section fails the sandwich test: {rep}")
@@ -658,21 +666,16 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
     if flow != 0:
         return ExistenceData(exists=False, flow=flow, obstruction=flow,
                              note="flow obstruction")
-    n = f.n_samples
-    lam0 = f.eigenvalues[0]
-    split = int(np.searchsorted(lam0, 0.0, side="left"))
-    sections = []
-    radius = np.zeros(n)
-    for x in range(n):
-        sections.append(Subspace(f.dim, f.frames[x][:, split:]))
-        lam = f.eigenvalues[x]
-        r0 = 0.0
-        if split > 0:
-            r0 = max(r0, float(lam[split - 1]))
-        if split < f.dim:
-            r0 = max(r0, -float(lam[split]))
-        abs_vals = np.unique(np.abs(lam))
-        radius[x] = _aligned_radius(abs_vals, max(r0, gap_tol), gap_tol)
+    lam = f.eigenvalues
+    split = int(np.searchsorted(lam[0], 0.0, side="left"))
+    sections = [Subspace(f.dim, F[:, split:]) for F in f.frames]
+    # r0: the larger of the branches bracketing the split, at least 0
+    r0 = np.zeros(f.n_samples)
+    if split > 0:
+        r0 = np.maximum(r0, lam[:, split - 1])
+    if split < f.dim:
+        r0 = np.maximum(r0, -lam[:, split])
+    radius = _aligned_radii(f.abs_eigenvalues, r0, gap_tol)
     ok, rep = is_spectral_section(f, sections, radius)
     if not ok:
         raise ModelViolationError(

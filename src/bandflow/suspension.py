@@ -8,16 +8,21 @@ reproduces the spectral flow of the base family by a completely different
 route than the chartwise bookkeeping.
 
 B(t) is normal with the eigenbasis of A and eigenvalues cos t + i sin t lam,
-so no operator grid is stored: SuspensionFamily.operator builds B(t) on
-demand. Equatorial kernel samples come from the closed-form smallest
-singular value sqrt(cos^2 t + min lam^2 sin^2 t), and the index is the
-signed zero-crossing count of the base's sorted branches, since the equator
-slice -i B(pi/2) is A itself.
+so no operator grid is stored: _suspension_operator builds B on demand for a
+stack of (operator, angle) pairs, serving SuspensionFamily.operator, the zero
+band check and the determinant contour alike. Equatorial kernel samples come
+from the closed-form smallest singular value sqrt(cos^2 t + min lam^2 sin^2 t),
+and the index is the signed zero-crossing count of the base's sorted
+branches, since the equator slice -i B(pi/2) is A itself. On exact loops the
+winding of det B around the equator is an auxiliary report, read off one
+stacked determinant over the whole contour.
 
 Nothing here solves |B(t)|^2: B(t)*B(t) = cos^2 t + sin^2 t A^2 by algebra,
 so the spectrum identity and the band correspondence test only the accuracy
 of the base plane, read off its certificate eta (linalg.plane_certificate).
-spectrum_surface is the closed form itself. A single matrix is a stack of one.
+spectrum_surface is the closed form itself, and the band correspondence
+reads its window edges off one (sample, angle) table of it. A single matrix
+is a stack of one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .atlas import DEFAULT_GAP_TOL, band_gap_error
 from .errors import ModelViolationError, ValidationError
 from .families import OperatorFamily
 from .flow import net_up_crossings
-from .linalg import as_hermitian, hermitian_eig_stack, plane_certificate, window_boundary_error
+from .linalg import as_hermitian, first_edge_error, hermitian_eig_stack, plane_certificate
 
 SPECTRUM_IDENTITY_TOL = 1e-9
 BAND_MATCH_TOL = 1e-8
@@ -40,9 +45,10 @@ EQUATOR_COS_TOL = 1e-12
 WINDING_INT_TOL = 0.1
 
 
-def _suspension_operator(A: np.ndarray, t: float) -> np.ndarray:
-    n = A.shape[0]
-    return np.cos(t) * np.eye(n, dtype=np.complex128) + 1j * np.sin(t) * A
+def _suspension_operator(A: np.ndarray, t) -> np.ndarray:
+    """B = cos t I + (i sin t) A; an (M, n, n) stack of A with (M,) angles gives M of them."""
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    return np.cos(t) * np.eye(A.shape[-1], dtype=np.complex128) + (1j * np.sin(t)) * A
 
 
 def _base_plane(A) -> tuple:
@@ -193,7 +199,8 @@ def band_correspondence_check(A, eps: float, t, samples=None):
     an (M, T) bool table for a family, (T,) for a matrix, without the angle
     axis for a scalar angle. Errors arise sample by sample: the base gap
     (default gap tolerance) first, then a window edge on the closed-form
-    spectrum of |B|, sorted sqrt(cos^2 t + lam^2 sin^2 t), angle by angle.
+    spectrum of |B|, sorted sqrt(cos^2 t + lam^2 sin^2 t), angle by angle,
+    read by one first_edge_error over the (sample, angle) rows.
     """
     ts = _angles(t)
     if np.any(np.abs(np.sin(ts)) < 1e-9):
@@ -204,12 +211,13 @@ def band_correspondence_check(A, eps: float, t, samples=None):
     rows = slice(None) if samples is None else np.asarray(samples, dtype=int)
     lam, cert = lam[rows], tuple(c[rows] for c in cert)
     first = band_gap_error(lam, eps, DEFAULT_GAP_TOL)
-    for tk in ts:
-        c2, s2 = np.cos(tk) ** 2, np.sin(tk) ** 2
-        abs_b = np.sqrt(np.sort(c2 + lam**2 * s2, axis=1))
-        hit = window_boundary_error(abs_b, -1.0, float(np.sqrt(c2 + eps**2 * s2)))
-        if hit is not None and (first is None or hit[0] < first[0]):
-            first = hit
+    c2, s2 = np.cos(ts) ** 2, np.sin(ts) ** 2
+    # row x * T + k holds |B| at sample x and angle k: sample-major rows
+    abs_b = np.sqrt(np.sort(c2[:, None] + lam[:, None, :] ** 2 * s2[:, None], axis=2))
+    delta = np.tile(np.sqrt(c2 + eps**2 * s2), len(lam))
+    hit = first_edge_error(abs_b.reshape(-1, lam.shape[1]), -1.0, delta)
+    if hit is not None and (first is None or hit[0] // len(ts) < first[0]):
+        first = hit
     if first is not None:
         raise first[1]
     return _shaped(np.repeat(_band_certified(lam, eps, cert)[:, None], len(ts), axis=1), A, t)
@@ -277,16 +285,13 @@ def _det_winding(sf: SuspensionFamily, te: int):
 
     The two long legs run along the angle rows adjacent to the equator; the
     short legs close the contour at the loop seam, where the base operators
-    at both ends coincide.
+    at both ends coincide. The 2N + 3 contour operators are built as one
+    stack and go through one np.linalg.det call.
     """
-    lo, hi = te - 1, te + 1
     m = sf.n_parameters - 1
-    contour = [(x, lo) for x in range(0, m + 1)]
-    contour.append((m, te))
-    contour.extend((x, hi) for x in range(m, -1, -1))
-    contour.append((0, te))
-    contour.append((0, lo))
-    dets = np.array([np.linalg.det(sf.operator(x, k)) for x, k in contour])
+    xs = np.concatenate([np.arange(m + 1), [m], np.arange(m, -1, -1), [0, 0]])
+    ks = np.concatenate([np.full(m + 1, te - 1), [te], np.full(m + 1, te + 1), [te, te - 1]])
+    dets = np.linalg.det(_suspension_operator(sf.base.operator_stack[xs], sf.t_samples[ks]))
     if np.any(np.abs(dets) < 1e-12):
         return None, None
     angles = np.angle(dets[1:] / dets[:-1])

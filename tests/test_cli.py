@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import bandflow.cli
 import bandflow.linalg
+import bandflow.suspension
 from bandflow import (
     GENERATORS,
     band_identity_check,
@@ -342,6 +343,30 @@ def test_suspend_eigensolve_count_does_not_grow_with_samples(tmp_path, monkeypat
             seen.append(counts)
     assert all(counts == seen[0] for counts in seen)
     assert seen[0]["hermitian_eig"] == 0
+
+
+def test_suspend_makes_one_det_and_one_band_edge_read(tmp_path, monkeypatch):
+    # the winding contour is one stacked det and the band correspondence one
+    # first_edge_error over its (sample, angle) table, at any size
+    for samples in (60, 120):
+        for t_samples in ("21", "41"):
+            spec = {"generator": "random_smooth",
+                    "params": {"dim": 3, "loop": True, "samples": samples, "seed": 4}}
+            run_dir = tmp_path / f"{samples}_{t_samples}"
+            run_dir.mkdir()
+            counts = {"det": 0, "first_edge_error": 0}
+
+            def counting(name, fn):
+                return lambda *args: counts.__setitem__(name, counts[name] + 1) or fn(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "det", counting("det", np.linalg.det))
+                m.setattr(bandflow.suspension, "first_edge_error",
+                          counting("first_edge_error", bandflow.suspension.first_edge_error))
+                code, out = run(run_dir, spec, ["suspend", "--t-samples", t_samples])
+            assert code == 0
+            assert read_report(out, "suspend_report.json")["outputs"]["det_winding"] == 0
+            assert counts == {"det": 1, "first_edge_error": 1}
 
 
 # ---------------------------------------------------------------- section

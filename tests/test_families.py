@@ -1,5 +1,6 @@
 """Parameter grids, family closure rules, and the built-in generators."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from bandflow import (
     window_subspace,
 )
 from bandflow.families import _validated_stack, window_steps
+import bandflow.families
 import bandflow.linalg
 from bandflow.linalg import (HERMITIAN_TOL_FACTOR, checked_stack, first_edge_error,
                              window_boundary_error)
@@ -166,6 +168,93 @@ def test_random_smooth_loop_closes_exactly():
     f = generate("random_smooth", dim=4, seed=3, samples=80, loop=True)
     assert f.grid.closure == "exact_loop"
     assert np.abs(f.operators[0] - f.operators[-1]).max() == 0.0
+
+
+# References: the generators as they built one operator per sample.
+
+
+def reference_random_smooth(dim, seed, samples, loop, harmonics, drift):
+    rng = np.random.default_rng(seed)
+
+    def rand_herm(scale):
+        X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return scale * ((X + X.conj().T) / (2.0 * math.sqrt(dim)))
+
+    t = np.linspace(0.0, 1.0, samples)
+    base = rand_herm(1.0)
+    terms = [(rand_herm(0.35 / k**2), rand_herm(0.35 / k**2)) for k in range(1, harmonics + 1)]
+    drift_op = None if loop else rand_herm(drift)
+    ops = []
+    for tj in t:
+        A = base.copy()
+        for k, (Bk, Ck) in enumerate(terms, start=1):
+            A = A + math.cos(2 * math.pi * k * tj) * Bk + math.sin(2 * math.pi * k * tj) * Ck
+        if drift_op is not None:
+            A = A + tj * drift_op
+        ops.append(A)
+    if loop:
+        ops[-1] = ops[0].copy()
+    return ops
+
+
+def reference_rotation(m, turns, samples):
+    D = np.diag([-1.0, 1.0] + [(2.0 + j // 2) * (-1) ** j for j in range(m)])
+    D = D.astype(np.complex128)
+    ops = []
+    for th in 2.0 * math.pi * turns * np.linspace(0.0, 1.0, samples):
+        R = np.eye(2 + m, dtype=np.complex128)
+        c, s = math.cos(th), math.sin(th)
+        R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
+        ops.append(R @ D @ R.conj().T)
+    return ops
+
+
+def reference_diag(columns):
+    return [np.diag(columns[:, j]).astype(np.complex128) for j in range(columns.shape[1])]
+
+
+def built_stack(monkeypatch, name, **params):
+    """The operators a generator hands to OperatorFamily, before validation."""
+    seen = []
+    real = bandflow.families.OperatorFamily
+    with monkeypatch.context() as m:
+        m.setattr(bandflow.families, "OperatorFamily",
+                  lambda **kw: seen.append(np.asarray(kw["operators"])) or real(**kw))
+        generate(name, **params)
+    return seen[0]
+
+
+@pytest.mark.parametrize("params", [
+    {"dim": 1, "seed": 0, "samples": 2, "loop": False, "harmonics": 3, "drift": 0.8},
+    {"dim": 3, "seed": 4, "samples": 60, "loop": True, "harmonics": 3, "drift": 0.8},
+    {"dim": 8, "seed": 1, "samples": 80, "loop": False, "harmonics": 3, "drift": 0.8},
+    {"dim": 5, "seed": 7, "samples": 33, "loop": True, "harmonics": 0, "drift": 0.8},
+    {"dim": 4, "seed": 2, "samples": 41, "loop": False, "harmonics": 5, "drift": -1.7},
+])
+def test_random_smooth_is_the_per_sample_construction(monkeypatch, params):
+    want = np.array(reference_random_smooth(**params))
+    assert built_stack(monkeypatch, "random_smooth", **params).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, turns, samples", [(0, 1.0, 2), (1, 1.0, 120), (2, 2.0, 40),
+                                               (3, 0.5, 31), (1, -1.3, 17)])
+def test_rotation_is_the_per_sample_construction(monkeypatch, m, turns, samples):
+    want = np.array(reference_rotation(m, turns, samples))
+    got = built_stack(monkeypatch, "rotation", m=m, turns=turns, samples=samples)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_diagonal_generators_are_the_per_sample_construction(monkeypatch):
+    t = np.linspace(0.0, 1.0, 21)
+    cases = [("crossing", {"k": -2, "m": 3, "samples": 21},
+              np.array([0.5 - t, 0.5 - t, 2 + 0 * t, -2 + 0 * t, 3 + 0 * t])),
+             ("truncated_shift_flow", {"N": 1, "samples": 21},
+              np.arange(-1.0, 2.0)[:, None] + (t + 0.025)[None, :]),
+             ("constant", {"dim": 3, "samples": 21}, np.array([1 + 0 * t, -1 + 0 * t, 2 + 0 * t]))]
+    for name, params, columns in cases:
+        want = np.array(reference_diag(columns))
+        # bytes, so the off-diagonal zeros beside negative levels stay +0.0
+        assert built_stack(monkeypatch, name, **params).tobytes() == want.tobytes(), name
 
 
 def test_refining_the_grid_shrinks_steps():

@@ -124,6 +124,31 @@ def test_radius_validation():
         radius_function(two, pou)
 
 
+def reference_radius_bounds(atlas, pou, r):
+    """The per-sample bound check radius_function replaces."""
+    eps = [c.eps for c in atlas.charts]
+    for x in range(r.size):
+        lo = min(eps[i] for i in pou.active_charts(x))
+        if r[x] < lo - 1e-12 or not 0.0 < r[x] < 1.0:
+            raise ValidationError(f"squash radius {r[x]:.6g} at sample {x} escapes its bounds")
+
+
+def test_radius_bound_failure_names_the_first_sample():
+    atlas = Atlas(charts=(AdaptedChart(0, 3, 0.2), AdaptedChart(2, 5, 0.4)))
+    pou = partition_of_unity(atlas, 6)
+    assert reference_radius_bounds(atlas, pou, radius_function(atlas, pou)) is None
+    # tents that no longer sum to one put samples 4 and 2 below their smallest
+    # active radius, after validation
+    pou.weights[:, 4] = [0.0, 0.5]
+    pou.weights[:, 2] = [0.5, 0.1]
+    with pytest.raises(ValidationError) as old:
+        reference_radius_bounds(atlas, pou, pou.weights.T @ np.array([0.2, 0.4]))
+    with pytest.raises(ValidationError) as new:
+        radius_function(atlas, pou)
+    assert str(new.value) == str(old.value)
+    assert "at sample 2 " in str(new.value)
+
+
 def test_radius_dominates_smallest_active_eps():
     rep = finite_polarized_replace(generate("random_smooth", dim=4, seed=5))
     eps = [c.eps for c in rep.atlas.charts]

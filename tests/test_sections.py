@@ -485,6 +485,74 @@ def test_sandwich_and_fixed_point_build_no_window_subspaces(request):
     assert calls == []
 
 
+# References: the one-sample radius search _aligned_radii replaces, over the
+# sample's distinct |eigenvalues|, and the per-row np.unique candidate route.
+
+
+def reference_aligned_radius(abs_vals, r0, clearance):
+    """Smallest radius at least r0 keeping a safe distance from |spectrum|."""
+    r0 = max(r0, clearance)
+    vals = np.asarray(abs_vals, dtype=float)
+    if vals.size == 0 or float(np.abs(vals - r0).min()) >= clearance:
+        return r0
+    mids, clear = gap_midpoints(np.concatenate(([0.0], vals)), floor=r0)
+    mids = mids[clear >= clearance]
+    return float(mids[0]) if mids.size else float(max(r0, float(vals[-1]) + 1.0))
+
+
+# few distinct values, so rows repeat |lam| and r0 often lands on one of them
+LEVELS = st.sampled_from([0.0, 1e-7, 0.1, 0.25, 0.25 + 1e-12, 0.5, 1.0, 2.0, 1e4])
+ABS_TABLES = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(LEVELS | st.floats(0.0, 3.0), min_size=n, max_size=n).map(sorted),
+    min_size=1, max_size=8).map(np.array))
+
+
+@given(table=ABS_TABLES, data=st.data(),
+       clearance=st.sampled_from([0.0, 1e-6, 0.05, 0.3]))
+@example(table=np.array([[0.25, 0.25, 0.5]]), data=None, clearance=0.0)
+def test_aligned_radii_match_the_per_row_search(table, data, clearance):
+    if data is None:
+        r0 = np.array([0.25])
+    else:
+        r0 = np.array(data.draw(st.lists(LEVELS | st.floats(0.0, 3.0), min_size=len(table),
+                                         max_size=len(table))))
+    want = [reference_aligned_radius(np.unique(row), float(r), clearance)
+            for row, r in zip(table, r0)]
+    got = sections._aligned_radii(table, r0, clearance)
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
+@given(table=ABS_TABLES, gap_tol=st.sampled_from([0.0, 1e-6, 0.05]))
+@example(table=np.array([[0.0, 0.0, 0.3, 0.3]]), gap_tol=0.0)
+def test_fixed_point_candidates_match_the_per_row_unique_route(table, gap_tol):
+    ok, mids = sections._gap_candidates(table, gap_tol)
+    for row, keep, m in zip(table, ok, mids):
+        want, clear = gap_midpoints(np.concatenate([[0.0], np.unique(row)]))
+        assert m[keep].tobytes() == want[(clear >= gap_tol) & (want > 0.0)].tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate("rotation", m=2, samples=40),
+    lambda: generate("random_smooth", dim=3, seed=4, samples=60, loop=True),
+    lambda: generate("random_smooth", dim=5, seed=2, samples=60, loop=True),
+], ids=["rotation", "random-3", "random-5"])
+def test_existence_witness_radius_is_the_per_sample_search(make):
+    f = make()
+    ex = section_existence(f)
+    assert ex.exists
+    split = int(np.searchsorted(f.eigenvalues[0], 0.0, side="left"))
+    want = []
+    for lam in f.eigenvalues:
+        r0 = 0.0
+        if split > 0:
+            r0 = max(r0, float(lam[split - 1]))
+        if split < f.dim:
+            r0 = max(r0, -float(lam[split]))
+        want.append(reference_aligned_radius(np.unique(np.abs(lam)), max(r0, DEFAULT_GAP_TOL),
+                                             DEFAULT_GAP_TOL))
+    assert ex.radius.tobytes() == np.array(want).tobytes()
+
+
 # ------------------------------------------------- deformation: fixed points
 
 
@@ -682,6 +750,9 @@ def test_deformation_passes_are_bitwise_the_per_sample_route(make, cut, angle, m
     images, mk2 = reference_pass(f, res.pou, res.nu_perp, comps, upper=False)
     final = [orthogonal_complement(Subspace(f.dim, F)) for F in images]
     assert all(_same_bits(M.frame, R.frame) for M, R in zip(res.sections, final))
+    radius = [reference_aligned_radius(np.unique(row), max(abs(a), abs(b)), DEFAULT_GAP_TOL)
+              for row, a, b in zip(f.abs_eigenvalues, res.mu, res.mu_perp)]
+    assert _same_bits(res.radius, np.array(radius))
     for x in range(0, f.n_samples, 3):
         for s in (0.3, 0.8):
             K, MK = (S.subspaces[x], mk1[x]) if s <= 0.5 else (comps[x], mk2[x])

@@ -31,7 +31,13 @@ from bandflow import (
     zero_band_check,
 )
 from bandflow import suspension
-from bandflow.linalg import as_hermitian, hermitian_eig_stack, plane_certificate
+from bandflow.atlas import DEFAULT_GAP_TOL, band_gap_error
+from bandflow.linalg import (
+    as_hermitian,
+    hermitian_eig_stack,
+    plane_certificate,
+    window_boundary_error,
+)
 from bandflow.suspension import BAND_MATCH_TOL, _suspension_operator
 
 from conftest import random_hermitian
@@ -407,6 +413,60 @@ def test_band_check_base_gap_error_matches_the_loop(rng):
         outcome(reference_band_check, stack[rows[3]], eps, t)
 
 
+def reference_band_edges(f, eps, t, rows):
+    """The per-angle edge reads band_correspondence_check replaces: the base gap,
+    then angle by angle the first row with an ambiguous edge, -1 before delta."""
+    lam = f.eigenvalues[rows]
+    first = band_gap_error(lam, eps, DEFAULT_GAP_TOL)
+    for tk in t:
+        c2, s2 = np.cos(tk) ** 2, np.sin(tk) ** 2
+        abs_b = np.sqrt(np.sort(c2 + lam**2 * s2, axis=1))
+        hit = window_boundary_error(abs_b, -1.0, float(np.sqrt(c2 + eps**2 * s2)))
+        if hit is not None and (first is None or hit[0] < first[0]):
+            first = hit
+    if first is not None:
+        raise first[1]
+
+
+def diagonal_family(rows):
+    return family_of(np.array([np.diag(r) for r in rows], dtype=np.complex128))
+
+
+def test_band_check_edge_errors_come_lowest_sample_first():
+    # at eps 0.6 and angles 0.5, 1.2, 2.9 the level 0.64 beside 1e7 makes the
+    # delta edge ambiguous only at the last angle, and 0.5 beside 4e9 makes
+    # both edges ambiguous at the first (the -1 edge by the spectral radius)
+    clean, late, both = [0.3, 1.0, 2.0], [0.64, 1e7, 2.0], [0.5, 4e9, 2.0]
+    t, eps = [0.5, 1.2, 2.9], 0.6
+    delta = np.sqrt(np.cos(2.9) ** 2 + eps**2 * np.sin(2.9) ** 2)
+    for rows, edge in (([clean, late, both, clean], delta), ([clean, clean, both, late], -1.0)):
+        f = diagonal_family(rows)
+        new = outcome(band_correspondence_check, f, eps, t)
+        assert new == outcome(reference_band_edges, f, eps, t, slice(None))
+        assert new[0] is SpectralBoundaryError
+        assert f"window endpoint {edge:.12g} " in new[1]
+
+
+# levels near eps = 0.6, and spectral radii large enough to widen the edge tolerance
+EDGE_LEVELS = st.sampled_from([0.1, 0.59, 0.6 + 1e-4, 0.62, 0.64, 0.7, 2.0, 1e7, 4e9, 1e10])
+
+
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+           st.lists(EDGE_LEVELS | st.floats(-3.0, 3.0), min_size=n, max_size=n),
+           min_size=2, max_size=6)),
+       t=st.lists(st.floats(0.05, np.pi - 0.05), min_size=1, max_size=5),
+       every=st.integers(1, 3))
+def test_band_check_raises_what_the_per_angle_loop_raised(rows, t, every):
+    f = diagonal_family(rows)
+    picked = range(0, len(rows), every)
+    new = outcome(band_correspondence_check, f, 0.6, t, samples=picked)
+    old = outcome(reference_band_edges, f, 0.6, t, list(picked))
+    if old is not None:
+        assert new == old
+    else:
+        assert not isinstance(new, tuple)
+
+
 def test_band_check_validates_the_radius():
     with pytest.raises(ValidationError, match="positive"):
         band_correspondence_check(np.diag([0.5]), eps=0.0, t=1.0)
@@ -601,6 +661,33 @@ def test_suspension_index_matches_chartwise_flow():
         f = generate(name, **kwargs)
         flow = spectral_flow_chartwise(index_chain(f, build_atlas(f)))
         assert suspension_index(suspend(f)).index == flow, name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate("rotation", m=1, samples=30),
+    lambda: generate("random_smooth", dim=3, seed=4, samples=60, loop=True),
+    lambda: generate("random_smooth", dim=6, seed=1, samples=41, loop=True),
+], ids=["rotation", "random-3", "random-6"])
+@pytest.mark.parametrize("t_count", [5, 21, 41])
+def test_contour_determinants_are_one_stacked_det(monkeypatch, make, t_count):
+    sf = suspend(make(), t_count=t_count)
+    calls, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda B: calls.append(det(B)) or calls[-1])
+    data = suspension_index(sf)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    te, m = sf.equator_index(), sf.n_parameters - 1
+    contour = ([(x, te - 1) for x in range(m + 1)] + [(m, te)]
+               + [(x, te + 1) for x in range(m, -1, -1)] + [(0, te), (0, te - 1)])
+    want = np.array([np.linalg.det(sf.operator(x, k)) for x, k in contour])
+    assert same_bits(calls[0], want)
+    angles = np.angle(want[1:] / want[:-1])
+    assert data.det_winding == round(float(np.sum(angles) / (2.0 * np.pi)))
+    # each B is bitwise cos t I + (i sin t) A, formed as before one angle at a time
+    for x, k in contour[:: max(1, m // 5)]:
+        A, tk = sf.base.operators[x], float(sf.t_samples[k])
+        B = np.cos(tk) * np.eye(A.shape[0], dtype=np.complex128) + 1j * np.sin(tk) * A
+        assert same_bits(sf.operator(x, k), B)
 
 
 def test_rotation_loop_det_winding():
