@@ -438,9 +438,10 @@ def _random_smooth(dim: int = 5, seed: int = 0, samples: int = 200,
     # another order would move the operators' last bits
     ops = np.repeat(base[None], t.size, axis=0)
     for k, (Bk, Ck) in enumerate(terms, start=1):
-        ops = ops + coef(math.cos, k) * Bk + coef(math.sin, k) * Ck
+        ops += coef(math.cos, k) * Bk
+        ops += coef(math.sin, k) * Ck
     if drift_op is not None:
-        ops = ops + t[:, None, None] * drift_op
+        ops += t[:, None, None] * drift_op
     if loop:
         ops[-1] = ops[0]
         grid = ParameterGrid(kind="circle_loop", samples=t, closure="exact_loop")
