@@ -669,7 +669,6 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
     lam = f.eigenvalues
     split = int(np.searchsorted(lam[0], 0.0, side="left"))
     sections = [Subspace(f.dim, F[:, split:]) for F in f.frames]
-    # r0: the larger of the branches bracketing the split, at least 0
     r0 = np.zeros(f.n_samples)
     if split > 0:
         r0 = np.maximum(r0, lam[:, split - 1])
