@@ -683,7 +683,7 @@ def test_contour_determinants_are_one_stacked_det(monkeypatch, make, t_count):
     assert same_bits(calls[0], want)
     angles = np.angle(want[1:] / want[:-1])
     assert data.det_winding == round(float(np.sum(angles) / (2.0 * np.pi)))
-    # each B is bitwise cos t I + (i sin t) A, formed as before one angle at a time
+    # each B is bitwise the one-angle expression cos t I + (i sin t) A at a float t
     for x, k in contour[:: max(1, m // 5)]:
         A, tk = sf.base.operators[x], float(sf.t_samples[k])
         B = np.cos(tk) * np.eye(A.shape[0], dtype=np.complex128) + 1j * np.sin(tk) * A
