@@ -182,10 +182,13 @@ def _radius_candidates(f: OperatorFamily, start: int, end: int, gap_tol: float,
     mids, clear = mids[keep], clear[keep]
     if mids.size == 0:
         return []
-    counts = np.stack([np.searchsorted(row, mids) for row in per_sample])
+    # counts[r, j] = #{entries of row r below mids[j]}: each entry lands past the
+    # mids at or under it, and a running count over those landing spots gives it
+    L, M = per_sample.shape[0], mids.size
+    spots = np.searchsorted(mids, per_sample, side="right") + (M + 1) * np.arange(L)[:, None]
+    counts = np.bincount(spots.ravel(), minlength=L * (M + 1)).reshape(L, M + 1).cumsum(axis=1)[:, :M]
     constant = np.all(counts == counts[0], axis=0)
-    out = [(float(m), float(h), int(r))
-           for m, h, r, ok in zip(mids, clear, counts[0], constant) if ok]
+    out = list(zip(mids[constant].tolist(), clear[constant].tolist(), counts[0, constant].tolist()))
     out.sort(key=lambda c: (-_round_sig(c[1]), c[0]))
     return out
 

@@ -8,13 +8,12 @@ flow blocks a section), 1 any error.
 
 JSON text comes from one recursive encoder whose output is exactly
 json.dumps(..., indent=2, sort_keys=True) of the nested-list form of the
-data. It takes numpy arrays as they are: a real float array is written one
-innermost row per chunk. A row whose entries are all 0 or of magnitude in
-[1e-4, 1e16) is formatted by orjson in compiled code, which prints those
-values exactly as repr does; any other row is joined from float repr. That
-keeps the sampled family that polarize writes cheap. The encoder hands its
-chunks straight to the open file, so no copy of a whole file's text is ever
-held.
+data. It takes numpy arrays as they are: a real float or integer array is
+formatted by orjson in compiled code, one block of leading-axis items per
+chunk. orjson prints 0 and magnitudes in [1e-4, 1e16) exactly as repr does;
+the few other entries get float repr's text spliced in. That keeps the
+sampled family that polarize writes cheap. The encoder hands its chunks
+straight to the open file, so no copy of a whole file's text is ever held.
 
 JSON input, the spec and the section file, goes through one reader: a
 nesting guard over the raw bytes, then orjson, which parses the bytes in
@@ -119,33 +118,41 @@ def _float_text(x: float) -> str:
 
 # orjson prints a double as repr does when it is 0 or 1e-4 <= |x| < 1e16;
 # outside that range it spells exponents differently (0.00005 for 5e-05,
-# 1e16 for 1e+16), so rows holding such values go through repr.
+# 1e16 for 1e+16). Such entries, NaN and the infinities reach orjson as NaN,
+# which it writes as null, and their repr text is spliced in afterwards.
 _PLAIN_MIN = 1e-4
 _PLAIN_MAX = 1e16
-_ROW_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+_ARRAY_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_INDENT_2
+# entries per orjson call, so that a block's text stays small beside a file's
+_BLOCK_ENTRIES = 1 << 15
 
 
-def _float_array(a: np.ndarray, plain, nl: str, write) -> None:
-    """Write a float64 array one innermost row per chunk.
+def _block_text(block: np.ndarray) -> bytes:
+    """orjson's indented text of a float64 or integer array, repr's for every float."""
+    if block.dtype.kind != "f":
+        return orjson.dumps(block, option=_ARRAY_OPTIONS)
+    mag = np.abs(block)
+    odd = ~((block == 0) | ((mag >= _PLAIN_MIN) & (mag < _PLAIN_MAX)))
+    if not odd.any():
+        return orjson.dumps(block, option=_ARRAY_OPTIONS)
+    pieces = orjson.dumps(np.where(odd, np.nan, block), option=_ARRAY_OPTIONS).split(b"null")
+    out = [b""] * (2 * len(pieces) - 1)
+    out[::2], out[1::2] = pieces, (_float_text(x).encode() for x in block[odd].tolist())
+    return b"".join(out)
 
-    plain, of shape a.shape[:-1], marks the rows orjson may format.
-    """
-    inner = nl + _INDENT
-    if a.ndim == 1:
-        # all() over an empty row is True, and orjson writes it as []
-        if plain:
-            write(orjson.dumps(a, option=_ROW_OPTIONS).decode().replace("\n", nl))
-        else:
-            write("[" + inner + ("," + inner).join(map(_float_text, a.tolist())) + nl + "]")
-        return
+
+def _array_text(a: np.ndarray, nl: str, write) -> None:
+    """Write a C-contiguous float64 or integer array, one orjson call per
+    block of leading-axis items holding about _BLOCK_ENTRIES entries."""
     if not len(a):
         write("[]")
         return
-    sep = "[" + inner
-    for sub, p in zip(a, plain):
-        write(sep)
-        _float_array(sub, p, inner, write)
-        sep = "," + inner
+    step, nl_bytes = max(1, _BLOCK_ENTRIES // max(1, a[0].size)), nl.encode()
+    sep = "["
+    for i in range(0, len(a), step):
+        # drop the block's own brackets: "[" in front, "\n]" behind
+        write(sep + _block_text(a[i:i + step])[1:-2].replace(b"\n", nl_bytes).decode())
+        sep = ","
     write(nl + "]")
 
 
@@ -158,10 +165,10 @@ def _encode(obj, nl: str, write) -> None:
     {"im": ..., "re": ...}.
 
     A real float array is widened to one C-contiguous float64 array and
-    written one innermost row per chunk. A plain row, every entry 0 or of
-    magnitude in [1e-4, 1e16), goes through orjson's formatter, whose text
-    for those values is repr's; NaN, infinities and every other value send
-    their row through float repr (NaN and infinities as json spells them).
+    written, like an integer array, one block of leading-axis items per
+    chunk. orjson formats each block; its text for 0 and magnitudes in
+    [1e-4, 1e16) is repr's, and every other entry (NaN and infinities too)
+    is replaced by float repr's text, as json spells it.
     """
     if isinstance(obj, str):
         write(_quote(obj))
@@ -202,9 +209,9 @@ def _encode(obj, nl: str, write) -> None:
         if obj.dtype.kind == "f" and obj.dtype.itemsize <= 8:
             with np.errstate(invalid="ignore"):  # a float32 signalling NaN
                 a = np.ascontiguousarray(obj, dtype=np.float64)
-            mag = np.abs(a)
-            plain = ((a == 0) | ((mag >= _PLAIN_MIN) & (mag < _PLAIN_MAX))).all(axis=-1)
-            _float_array(a, plain, nl, write)
+            _array_text(a, nl, write)
+        elif obj.dtype.kind in "iu":
+            _array_text(np.ascontiguousarray(obj), nl, write)
         else:
             _encode(obj.tolist(), nl, write)
     elif isinstance(obj, (complex, np.complexfloating)):
@@ -614,8 +621,8 @@ def cmd_section(args) -> int:
             "flow": data.flow,
             "note": data.note,
             "obstruction": 0,
-            "radius": [float(r) for r in data.radius],
-            "section_dims": [V.dim for V in data.sections],
+            "radius": data.radius,
+            "section_dims": np.array([V.dim for V in data.sections]),
         })
         if args.emit_frames:
             frames = {"reference_cut": None,
@@ -682,10 +689,7 @@ def cmd_polarize(args) -> int:
                                    max_chart_len=args.max_chart_len)
     preserved, flow_rep = flow_preservation_check(f, rep, gap_tol=args.eps_gap_tol,
                                                   max_chart_len=args.max_chart_len)
-    unchanged = max(
-        float(np.abs(a - b).max())
-        for a, b in zip(rep.scaled_input.operators, rep.family.operators)
-    )
+    unchanged = float(np.abs(rep.scaled_input.operator_stack - rep.family.operator_stack).max())
     checks = [
         {"name": "band_identity", "passed": True, "value": rep.band_report},
         {"name": "flow_preserved", "passed": bool(preserved), "value": flow_rep},
@@ -695,7 +699,7 @@ def cmd_polarize(args) -> int:
         "atlas": _atlas_json(rep.atlas),
         "max_change_after_normalize": unchanged,
         "polarized_bands": list(rep.family.polarized_bands),
-        "radius": [float(v) for v in rep.radius],
+        "radius": rep.radius,
         "scale": float(rep.scale),
     })
     _write_json(out / "replacement_family.json", _family_json(rep.family))

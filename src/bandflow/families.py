@@ -432,7 +432,7 @@ def _random_smooth(dim: int = 5, seed: int = 0, samples: int = 200,
     drift_op = None if loop else rand_herm(drift)
 
     def coef(fn, k):
-        return np.array([fn(2 * math.pi * k * tj) for tj in t])[:, None, None]
+        return np.array([fn(2 * math.pi * k * tj) for tj in t.tolist()])[:, None, None]
 
     # the sums run base, then cos B_k + sin C_k for k = 1, 2, ..., then t drift;
     # another order would move the operators' last bits

@@ -7,8 +7,9 @@ that must agree:
     the chart's left transition sample minus the count at its right one,
     summed over charts;
   * branch tracking: signed zero crossings of the sorted eigenvalue
-    branches, optionally on a refined grid obtained by interpolating the
-    operators between samples;
+    branches, which telescope to the gain in the positive count from the
+    first sample to the last; the grid refined by interpolating the
+    operators between samples only resolves branches pinned at zero;
   * endpoint signatures: the gain in the number of positive eigenvalues
     from the first sample to the last, valid whenever the endpoint
     operators are invertible.
@@ -246,12 +247,14 @@ def index_chain(f: OperatorFamily, atlas: Atlas,
     e1, e2 = np.minimum(eps[:-1], eps[1:]), np.maximum(eps[:-1], eps[1:])
     cuts = (lam[overlap_samples][:, :, None] < np.array([-e2, -e1, e1, e2]).T[:, None]).sum(axis=1)
     overlaps = []
+    # the parts are runs of the certified plane's frame columns
+    run = Subspace._checked
     for j, (y, (c0, c1, c2, c3)) in enumerate(zip(overlap_samples, cuts.tolist())):
         F = f.frames[y]
         overlaps.append(OverlapData(
             sample=y, eps_small=float(e1[j]), eps_big=float(e2[j]),
-            u_minus=Subspace(f.dim, F[:, c0:c1]), u_plus=Subspace(f.dim, F[:, c2:c3]),
-            small_band=Subspace(f.dim, F[:, c1:c2]), big_band=Subspace(f.dim, F[:, c0:c3]),
+            u_minus=run(f.dim, F[:, c0:c1]), u_plus=run(f.dim, F[:, c2:c3]),
+            small_band=run(f.dim, F[:, c1:c2]), big_band=run(f.dim, F[:, c0:c3]),
         ))
     return IndexChain(charts=tuple(chart_data), overlaps=tuple(overlaps))
 
@@ -261,12 +264,13 @@ def spectral_flow_chartwise(chain: IndexChain) -> int:
     return sum(c.n_below_left - c.n_below_right for c in chain.charts)
 
 
-def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
+def _refined_eigenvalue_table(f: OperatorFamily, refine: int, intervals=None) -> np.ndarray:
     """Sorted eigenvalues on the grid refined by linear operator interpolation.
 
     Grid rows come from the family's eigenvalue table; the refine - 1
-    interpolants between each pair of neighbours are solved together in one
-    stacked eigvalsh.
+    interpolants between each pair of neighbours in intervals (grid interval
+    indices, every one when None) are solved together in one stacked
+    eigvalsh, and the rows of the other interpolants hold +inf.
     """
     if refine < 1:
         raise ValidationError("refine factor must be a positive integer")
@@ -274,12 +278,16 @@ def _refined_eigenvalue_table(f: OperatorFamily, refine: int) -> np.ndarray:
     if refine == 1:
         return lam
     N, n = lam.shape
-    table = np.empty(((N - 1) * refine + 1, n))
+    table = np.full(((N - 1) * refine + 1, n), np.inf)
     table[::refine] = lam
     between = table[:-1].reshape(N - 1, refine, n)[:, 1:]
+    if intervals is None:
+        intervals = slice(None)
+    elif not len(intervals):
+        return table
     s = (np.arange(1, refine) / refine)[:, None, None]
     A = f.operator_stack[:, None]
-    between[:] = np.linalg.eigvalsh((1.0 - s) * A[:-1] + s * A[1:])
+    between[intervals] = np.linalg.eigvalsh((1.0 - s) * A[:-1][intervals] + s * A[1:][intervals])
     return table
 
 
@@ -287,11 +295,19 @@ def spectral_flow_oracle(f: OperatorFamily, refine: int = 2) -> int:
     """Signed zero crossings of the sorted eigenvalue branches.
 
     A branch sitting exactly at 0 at a sample counts as not yet crossed; it
-    contributes when it leaves zero. A branch pinned at 0 across consecutive
+    contributes when it leaves zero. The count telescopes to the change of
+    the positive count from the first row to the last, so the refined rows
+    serve only to resolve branches: one pinned at 0 across consecutive
     refined samples cannot be given a direction and raises
-    BranchResolutionError.
+    BranchResolutionError. At refine 2 each such pair holds a grid sample
+    with a pinned eigenvalue, so only the intervals beside those samples are
+    solved.
     """
-    table = _refined_eigenvalue_table(f, refine)
+    intervals = None
+    if refine == 2:
+        near = np.flatnonzero((np.abs(f.eigenvalues) <= 1e-12).any(axis=1))
+        intervals = np.union1d(near[near > 0] - 1, near[near < f.n_samples - 1])
+    table = _refined_eigenvalue_table(f, refine, intervals)
     pinned = np.abs(table) <= 1e-12
     runs = np.argwhere((pinned[:-1] & pinned[1:]).T)
     if runs.size:

@@ -168,6 +168,14 @@ class Subspace:
                 raise ValidationError("subspace frame is not orthonormal")
         object.__setattr__(self, "frame", F)
 
+    @classmethod
+    def _checked(cls, ambient_dim: int, frame: np.ndarray) -> "Subspace":
+        """Wrap a complex128 run of the certified plane's frame columns unchecked."""
+        V = object.__new__(cls)
+        object.__setattr__(V, "ambient_dim", ambient_dim)
+        object.__setattr__(V, "frame", frame)
+        return V
+
     @property
     def dim(self) -> int:
         return int(self.frame.shape[1])

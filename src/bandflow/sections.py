@@ -632,8 +632,6 @@ class ExistenceData:
 
     exists is decided by the spectral flow; when it holds, sections carries
     a witness, radius its r values and sandwich the oracle's report on them.
-    deformed optionally holds the glued output of the deformation applied to
-    the raw witness, when a global reference cut is available for it.
     """
 
     exists: bool
@@ -642,7 +640,6 @@ class ExistenceData:
     sections: tuple = ()
     radius: Optional[np.ndarray] = None
     sandwich: dict = field(default_factory=dict)
-    deformed: Optional[DeformationResult] = None
     note: str = ""
 
 
@@ -654,6 +651,11 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
     branches, the split position chosen at the first sample, with a radius
     tracking the branch bracketing the split. Non-zero flow reports itself
     as the obstruction.
+
+    When the branches above the split stay more than 2 gap_tol above those
+    below it, the witness is the window above the midpoint cut between them,
+    and the note records the gluing through the deformation at that cut
+    without running it: the deformation returns such a witness unchanged.
     """
     if f.grid.closure == "open_path":
         raise ValidationError(
@@ -668,7 +670,7 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
                              note="flow obstruction")
     lam = f.eigenvalues
     split = int(np.searchsorted(lam[0], 0.0, side="left"))
-    sections = [Subspace(f.dim, F[:, split:]) for F in f.frames]
+    sections = tuple(Subspace._checked(f.dim, F) for F in f.frames[:, :, split:])
     r0 = np.zeros(f.n_samples)
     if split > 0:
         r0 = np.maximum(r0, lam[:, split - 1])
@@ -680,26 +682,17 @@ def section_existence(f: OperatorFamily, gap_tol: float = DEFAULT_GAP_TOL,
         raise ModelViolationError(
             f"witness section fails the sandwich test: {rep}"
         )
-    deformed = None
     note = "witness from sorted branches"
-    upper_edge = float(f.eigenvalues[:, split].min()) if split < f.dim else None
-    lower_edge = float(f.eigenvalues[:, split - 1].max()) if split > 0 else None
-    if upper_edge is not None and lower_edge is not None and upper_edge - lower_edge > 2 * gap_tol:
-        cut = 0.5 * (upper_edge + lower_edge)
-        try:
-            weak = WeakSpectralSection(subspaces=tuple(sections), reference_cut=cut)
-            deformed = deform_to_spectral_section(f, weak, gap_tol=gap_tol,
-                                                  max_chart_len=max_chart_len)
-            note += f"; glued through the deformation at cut {cut:.6g}"
-        except (ValidationError, InjectivityError, AtlasBuildError):
-            deformed = None
+    if 0 < split < f.dim:
+        upper_edge, lower_edge = float(lam[:, split].min()), float(lam[:, split - 1].max())
+        if upper_edge - lower_edge > 2 * gap_tol:
+            note += f"; glued through the deformation at cut {0.5 * (upper_edge + lower_edge):.6g}"
     return ExistenceData(
         exists=True,
         flow=flow,
         obstruction=0,
-        sections=tuple(sections),
+        sections=sections,
         radius=radius,
         sandwich=rep,
-        deformed=deformed,
         note=note,
     )

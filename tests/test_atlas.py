@@ -480,7 +480,9 @@ def test_radius_candidates_match_per_row_counts(f):
     for _ in range(40):
         start = int(rng.integers(0, f.n_samples - 1))
         end = int(rng.integers(start, min(f.n_samples, start + 40)))
-        for gap_tol, cap in ((1e-6, None), (1e-3, None), (1e-6, float(rng.uniform(0.01, 1.0)))):
+        # at gap_tol 0 a midpoint can equal its lower edge
+        for gap_tol, cap in ((1e-6, None), (1e-3, None), (0.0, None),
+                             (1e-6, float(rng.uniform(0.01, 1.0)))):
             assert (_radius_candidates(f, start, end, gap_tol, cap)
                     == reference_candidates(f, start, end, gap_tol, cap))
 

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import bandflow.cli
 import bandflow.linalg
+import bandflow.sections
 import bandflow.suspension
 from bandflow import (
     GENERATORS,
@@ -380,6 +381,19 @@ def test_section_auto_rotation(tmp_path):
     assert report["outputs"]["obstruction"] == 0
     assert set(report["outputs"]["section_dims"]) == {2}
     assert all(c["passed"] for c in report["invariant_checks"])
+
+
+def test_section_auto_makes_no_deformation_call(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("section --auto deformed its witness")
+
+    monkeypatch.setattr(bandflow.cli, "deform_to_spectral_section", refuse)
+    monkeypatch.setattr(bandflow.sections, "deform_to_spectral_section", refuse)
+    monkeypatch.setattr(bandflow.sections, "_fixed_point_radius", refuse)
+    code, out = run(tmp_path, {"generator": "rotation"}, ["section", "--auto"])
+    assert code == 0
+    note = read_report(out, "section_report.json")["outputs"]["note"]
+    assert "glued through the deformation" in note
 
 
 def test_section_auto_obstruction_exit_code(tmp_path):
@@ -882,6 +896,27 @@ def test_json_writer_float_rows_match_repr_in_bulk():
     with np.errstate(invalid="ignore"):  # signalling NaN bit patterns
         assert _plain_rows(f32.astype(np.float64)).any()
     assert _encoded(f32) == json.dumps(f32.tolist(), indent=2)
+
+
+_BLOCK_FLOATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
+                     *_PLAIN_EDGES, *(-x for x in _PLAIN_EDGES)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                         max_side=5), elements=_BLOCK_FLOATS),
+                 hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                       max_side=5))),
+       st.integers(1, 40))
+def test_json_writer_blocks_match_json_dumps(a, block_entries):
+    """Blocks of a few entries straddle the rows of the leading-axis items."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bandflow.cli, "_BLOCK_ENTRIES", block_entries)
+        assert _encoded(a) == json.dumps(a.tolist(), indent=2)
+        assert _encoded({"x": [a]}) == json.dumps({"x": [a.tolist()]}, indent=2)
 
 
 def test_json_writer_writes_the_report_text(tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bandflow import (
     BoundaryZeroError,
@@ -30,7 +33,7 @@ from bandflow import (
 )
 from bandflow import Atlas, AdaptedChart
 import bandflow.flow
-from bandflow.flow import _refined_eigenvalue_table
+from bandflow.flow import _refined_eigenvalue_table, net_up_crossings
 from bandflow.linalg import hermitian_eig
 
 from conftest import random_complex
@@ -496,3 +499,92 @@ def test_refined_table_equals_per_interpolant_solves(refine):
               generate("random_smooth", dim=3, seed=1, samples=2)):
         assert np.array_equal(_refined_eigenvalue_table(f, refine),
                               reference_refined_table(f, refine))
+
+
+@pytest.mark.parametrize("refine", [2, 3])
+def test_refined_table_solves_only_the_given_intervals(refine):
+    f = generate("random_smooth", dim=4, seed=2, samples=12)
+    ref = reference_refined_table(f, refine)
+    for intervals in ([], [0, 3, 10], list(range(11))):
+        table = _refined_eigenvalue_table(f, refine, np.array(intervals, dtype=int))
+        solved = np.zeros(len(table), dtype=bool)
+        solved[::refine] = True
+        for j in intervals:
+            solved[j * refine + 1:(j + 1) * refine] = True
+        assert np.array_equal(table[solved], ref[solved])
+        assert np.all(table[~solved] == np.inf)
+
+
+_BRANCH_VALUES = [0.0, 0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.3, -0.7, 1.0]
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.one_of(st.sampled_from(_BRANCH_VALUES + [np.inf, -np.inf]),
+                                     st.floats(-2.0, 2.0))))
+def test_net_up_crossings_is_the_endpoint_positive_count_change(table):
+    assert net_up_crossings(table) == int(np.sum(table[-1] > 0) - np.sum(table[0] > 0))
+
+
+def reference_oracle(f, refine):
+    """spectral_flow_oracle over the fully solved per-interpolant table."""
+    table = reference_refined_table(f, refine)
+    pinned = np.abs(table) <= 1e-12
+    runs = np.argwhere((pinned[:-1] & pinned[1:]).T)
+    if runs.size:
+        i, k = runs[0]
+        raise BranchResolutionError(
+            f"branch {i} sits at 0 across consecutive samples near row {k}; "
+            f"refine the grid or perturb the family"
+        )
+    return net_up_crossings(table)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BranchResolutionError as exc:
+        return str(exc)
+
+
+def test_oracle_matches_the_fully_solved_table():
+    """Same integer or same error text at refine 1-4, on diagonal families
+    with exact and 1e-13 zeros, some under a Hermitian perturbation."""
+    rng = np.random.default_rng(21)
+    cases = [
+        diag_path((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),  # pinned at grid samples
+        diag_path((-1.0, 2e-12), (0.5, -2e-12), (1.0, 0.3)),  # pinned between interpolants
+        diag_path((-1.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0), (1.0, -1.0)),
+    ]
+    for _ in range(600):
+        dim, samples = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        diagonals = rng.choice(_BRANCH_VALUES, size=(samples, dim))
+        f = diag_path(*diagonals)
+        scale = rng.choice([0.0, 1e-14, 1e-3])
+        if scale:
+            X = rng.standard_normal((samples, dim, dim)) + 1j * rng.standard_normal((samples, dim, dim))
+            ops = f.operator_stack + scale * (X + X.conj().transpose(0, 2, 1))
+            f = OperatorFamily(grid=f.grid, dim=dim, operators=tuple(ops))
+        cases.append(f)
+    errors = set()
+    for f in cases:
+        for refine in (1, 2, 3, 4):
+            got = _outcome(spectral_flow_oracle, f, refine)
+            assert got == _outcome(reference_oracle, f, refine)
+            if isinstance(got, str):
+                errors.add(refine)
+    assert errors == {1, 2, 3, 4}
+    # the branch at 2e-12 -> -2e-12 passes 0 between two interpolants at refine 3
+    assert isinstance(_outcome(spectral_flow_oracle, cases[1], 2), int)
+    assert _outcome(spectral_flow_oracle, cases[1], 3).startswith("branch 1 sits at 0")
+
+
+def test_oracle_solves_only_beside_pinned_samples(monkeypatch):
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+    for f, want in ((generate("random_smooth", dim=5, seed=3), []),
+                    (generate("crossing"), [(2, 1, 2, 2)])):  # exact 0 at sample 50
+        f.eigenvalues  # the plane is solved before counting
+        shapes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+            spectral_flow_oracle(f, refine=2)
+        assert shapes == want

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bandflow import (
     AdaptedChart,
     Atlas,
+    ModelViolationError,
     OperatorFamily,
     ParameterGrid,
     PartitionOfUnity,
@@ -788,8 +789,63 @@ def test_existence_rotation_loop():
     ok, _ = is_spectral_section(f, ex.sections, ex.radius)
     assert ok
     assert "witness" in ex.note
-    assert ex.deformed is not None
-    assert ex.deformed.report.get("fixed_point") is True
+
+
+# random loops of dims 2-6 at 30 and 80 samples, three seeds each, three
+# loops whose edges do not separate, and rotation m = 0..3
+EXISTENCE_LOOPS = [
+    *(lambda d=d, n=n, s=s: generate("random_smooth", dim=d, seed=s, samples=n, loop=True)
+      for d in range(2, 7) for n in (30, 80) for s in (0, 5, 10)),
+    *(lambda d=d, s=s: generate("random_smooth", dim=d, seed=s, samples=30, loop=True)
+      for d, s in ((3, 7), (6, 11), (7, 9))),
+    *(lambda m=m: generate("rotation", m=m) for m in range(4)),
+]
+
+
+@pytest.mark.parametrize("max_chart_len", [40, 10])
+def test_existence_glues_where_the_deformation_fixes_the_witness(max_chart_len):
+    """Where the witness's edges separate, the note names the gluing, and
+    the deformation run on the witness at that cut returns it as its fixed
+    point; the note then has the bytes the deformation used to decide."""
+    glued = unglued = 0
+    for make in EXISTENCE_LOOPS:
+        f = make()
+        try:
+            ex = section_existence(f, max_chart_len=max_chart_len)
+        except ModelViolationError as exc:
+            # a crossing between samples can trip the chartwise count before any
+            # witness is built (random_smooth dim 4, seed 5, 80 samples)
+            assert "below-zero count drops" in str(exc)
+            continue
+        if not ex.exists:
+            continue
+        lam = f.eigenvalues
+        split = int(np.searchsorted(lam[0], 0.0, side="left"))
+        assert 0 < split < f.dim
+        upper, lower = float(lam[:, split].min()), float(lam[:, split - 1].max())
+        cut = 0.5 * (upper + lower)
+        separated = upper - lower > 2 * DEFAULT_GAP_TOL
+        assert ("glued" in ex.note) == separated
+        if not separated:
+            unglued += 1
+            continue
+        glued += 1
+        assert ex.note == f"witness from sorted branches; glued through the deformation at cut {cut:.6g}"
+        res = deform_to_spectral_section(f, WeakSpectralSection(ex.sections, cut),
+                                         max_chart_len=max_chart_len)
+        assert res.report.get("fixed_point") is True
+        assert all(a is b for a, b in zip(res.sections, ex.sections))
+    assert glued >= 30 and unglued >= 2
+
+
+def test_existence_witness_frames_are_the_plane_columns():
+    f = generate("random_smooth", dim=4, seed=5, samples=30, loop=True)
+    ex = section_existence(f)
+    split = int(np.searchsorted(f.eigenvalues[0], 0.0, side="left"))
+    for V, F in zip(ex.sections, f.frames):
+        assert V.ambient_dim == f.dim and V.frame.dtype == np.complex128
+        assert np.shares_memory(V.frame, F) and np.array_equal(V.frame, F[:, split:])
+        assert Subspace(f.dim, V.frame).dim == V.dim
 
 
 def test_existence_obstruction_shift_flow():
