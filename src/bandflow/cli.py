@@ -129,16 +129,15 @@ _BLOCK_ENTRIES = 1 << 15
 
 def _block_text(block: np.ndarray) -> bytes:
     """orjson's indented text of a float64 or integer array, repr's for every float."""
-    if block.dtype.kind != "f":
-        return orjson.dumps(block, option=_ARRAY_OPTIONS)
-    mag = np.abs(block)
-    odd = ~((block == 0) | ((mag >= _PLAIN_MIN) & (mag < _PLAIN_MAX)))
-    if not odd.any():
-        return orjson.dumps(block, option=_ARRAY_OPTIONS)
-    pieces = orjson.dumps(np.where(odd, np.nan, block), option=_ARRAY_OPTIONS).split(b"null")
-    out = [b""] * (2 * len(pieces) - 1)
-    out[::2], out[1::2] = pieces, (_float_text(x).encode() for x in block[odd].tolist())
-    return b"".join(out)
+    if block.dtype.kind == "f":
+        mag = np.abs(block)
+        odd = ~((block == 0) | ((mag >= _PLAIN_MIN) & (mag < _PLAIN_MAX)))
+        if odd.any():
+            pieces = orjson.dumps(np.where(odd, np.nan, block), option=_ARRAY_OPTIONS).split(b"null")
+            out = [b""] * (2 * len(pieces) - 1)
+            out[::2], out[1::2] = pieces, (_float_text(x).encode() for x in block[odd].tolist())
+            return b"".join(out)
+    return orjson.dumps(block, option=_ARRAY_OPTIONS)
 
 
 def _array_text(a: np.ndarray, nl: str, write) -> None:
